@@ -88,7 +88,8 @@ impl ShardedFrontEnd {
 /// clock right after the start barrier releases it and right after its
 /// last op, so the measurement window is exactly the span work was in
 /// flight — a main-thread clock would under-count whenever the main
-/// thread is descheduled while workers run (guaranteed on few cores).
+/// thread is descheduled while the benchmark threads run (guaranteed on
+/// few cores).
 fn run_threads<F>(threads: usize, ops_per_thread: u64, f: Arc<F>) -> Duration
 where
     F: Fn(u64, u64) + Send + Sync + 'static,

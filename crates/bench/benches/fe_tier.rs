@@ -4,18 +4,16 @@
 //!
 //! The same synthetic pipelined P-HTTP workload — `C` concurrent
 //! persistent connections, each sending pipelined batches — is served
-//! by a live loopback cluster once per tier size (threads I/O model).
-//! Tiered runs pay the real admission handshakes over the VIP's
-//! control sessions plus the gossip traffic; what they buy is dispatch
-//! spread over independent per-instance dispatchers (no shared-lock
-//! front-end bottleneck).
+//! by a live loopback cluster once per tier size, on one reactor shard
+//! per core of the host. Tiered runs pay the real admission handshakes
+//! over the VIP's control sessions plus the gossip traffic, and accept
+//! through blocking acceptor threads that hand each admitted stream to
+//! a shard (the handshake cannot run inside an event loop); what they
+//! buy is dispatch spread over independent per-instance dispatchers
+//! (no shared-lock front-end bottleneck).
 //!
-//! Writes `BENCH_fetier.json` at the repo root. **The build container
-//! has one core**: the tier instances cannot run in *parallel* there,
-//! so the single-core numbers mostly price the admission/gossip
-//! overhead; a multi-core host is where the per-instance dispatch
-//! independence shows up as scaling — the JSON records the host
-//! metadata so results are interpretable.
+//! Writes `BENCH_fetier.json` at the repo root, stamped with the host's
+//! core count.
 
 #![allow(missing_docs)]
 
@@ -23,7 +21,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use phttp_core::PolicyKind;
-use phttp_proto::{run_load, ClientProtocol, Cluster, DiskEmu, IoModel, LoadConfig, ProtoConfig};
+use phttp_proto::{run_load, ClientProtocol, Cluster, DiskEmu, LoadConfig, ProtoConfig};
 use phttp_simcore::SimTime;
 use phttp_trace::{generate, Batch, Connection, ConnectionTrace, SynthConfig};
 
@@ -61,7 +59,12 @@ fn workload(conns: usize, targets: u32) -> ConnectionTrace {
     ConnectionTrace { connections }
 }
 
-fn proto_config(front_ends: usize, conns: usize) -> ProtoConfig {
+/// One reactor shard per core.
+fn shards() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+fn proto_config(front_ends: usize) -> ProtoConfig {
     ProtoConfig {
         nodes: 2,
         policy: PolicyKind::ExtLard,
@@ -71,10 +74,8 @@ fn proto_config(front_ends: usize, conns: usize) -> ProtoConfig {
             bytes_per_sec: 400.0 * 1024.0 * 1024.0,
         },
         read_timeout: Duration::from_secs(20),
-        io_model: IoModel::Threads,
+        reactor_shards: shards(),
         front_ends,
-        // The thread model needs one worker per concurrent connection.
-        workers: conns + 8,
         fe_listeners: 4,
         ..ProtoConfig::default()
     }
@@ -85,7 +86,7 @@ fn proto_config(front_ends: usize, conns: usize) -> ProtoConfig {
 fn throughput(front_ends: usize, conns: usize) -> f64 {
     let trace = corpus_trace();
     let load = workload(conns, trace.num_targets() as u32);
-    let cluster = Cluster::start(proto_config(front_ends, conns), &trace).expect("start cluster");
+    let cluster = Cluster::start(proto_config(front_ends), &trace).expect("start cluster");
     let report = run_load(
         cluster.frontend_addrs(),
         cluster.store(),
@@ -154,8 +155,9 @@ fn bench_report(_c: &mut Criterion) {
     }
 
     let host = phttp_bench::host_meta_json();
+    let shards = shards();
     let json = format!(
-        "{{\n  \"benchmark\": \"fe_tier\",\n  \"workload\": \"P-HTTP closed loop: C concurrent persistent connections x {BATCHES} pipelined batches x {BATCH_SIZE} requests, extLARD, 2 nodes, hot cache, threads io model\",\n  \"baseline\": \"front_ends = 1 (the classic single front-end; no VIP, no admission handshakes, no gossip)\",\n  \"contender\": \"front_ends = M instances behind the VIP (round-robin admission over real control-session handshakes, consistent-hash belief ownership, pairwise gossip)\",\n  {host},\n  \"note\": \"single-core host: tier instances cannot run in parallel here, so M > 1 mostly prices the admission handshake + gossip overhead the tier pays per connection; the dispatch-independence payoff (M dispatchers with no shared front-end lock) needs a multi-core host to show as scaling — same caveat as BENCH_dispatcher.json\",\n  \"results\": [\n{rows}\n  ]\n}}\n"
+        "{{\n  \"benchmark\": \"fe_tier\",\n  \"workload\": \"P-HTTP closed loop: C concurrent persistent connections x {BATCHES} pipelined batches x {BATCH_SIZE} requests, extLARD, 2 nodes, hot cache, reactor at {shards} shards (one per core)\",\n  \"baseline\": \"front_ends = 1 (the classic single front-end; no VIP, no admission handshakes, no gossip)\",\n  \"contender\": \"front_ends = M instances behind the VIP (round-robin admission over real control-session handshakes, consistent-hash belief ownership, pairwise gossip)\",\n  {host},\n  \"note\": \"M > 1 pays an admission handshake + gossip per connection and accepts through blocking acceptors handing streams to the shards instead of the shards' own SO_REUSEPORT groups; tier_over_single prices that against what M independent dispatchers buy\",\n  \"results\": [\n{rows}\n  ]\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fetier.json");
     match std::fs::write(path, &json) {

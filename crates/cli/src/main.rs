@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use args::Args;
 use phttp_core::PolicyKind;
-use phttp_proto::{run_load, ClientProtocol, Cluster, IoModel, LoadConfig, ProtoConfig};
+use phttp_proto::{run_load, ClientProtocol, Cluster, LoadConfig, ProtoConfig};
 use phttp_sim::{build_workload, SimConfig, Simulator};
 use phttp_trace::{
     clf, generate, generate_specweb, reconstruct, SessionConfig, SpecWebConfig, SynthConfig, Trace,
@@ -34,12 +34,11 @@ commands:
                BEforward-extLARD-PHTTP; FILE is a CLF log, default synthetic)
   sweep        [--flash] [--quick] [FILE]
                the full Figure 7/8 sweep over cluster sizes and configs
-  demo         [--nodes N] [--policy wrr|lard|extlard] [--views N] [--reactor]
+  demo         [--nodes N] [--policy wrr|lard|extlard] [--views N]
                [--shards N] [--coalesce] [--mad]
                boot the live loopback cluster and drive it with real HTTP
-               (--reactor serves it from epoll event loops instead of the
-               worker-thread pool; --shards N spreads the reactor over N
-               loops with SO_REUSEPORT accept distribution; --coalesce
+               (--shards N spreads its epoll event loops over N shards
+               with SO_REUSEPORT accept distribution; --coalesce
                single-flights concurrent misses per target and reports
                delayed hits; --mad evicts by aggregate miss delay, LRU-MAD)
 ";
@@ -59,9 +58,7 @@ fn main() {
 fn run(argv: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse(
         argv,
-        &[
-            "flash", "quick", "specweb", "phttp10", "reactor", "coalesce", "mad",
-        ],
+        &["flash", "quick", "specweb", "phttp10", "coalesce", "mad"],
     )?;
     match (args.pos(0), args.pos(1)) {
         (Some("trace"), Some("gen")) => trace_gen(&args),
@@ -256,11 +253,6 @@ fn demo(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ProtoConfig {
             nodes,
             policy,
-            io_model: if args.flag("reactor") {
-                IoModel::Reactor
-            } else {
-                IoModel::Threads
-            },
             reactor_shards: args.get_or("shards", 1)?,
             coalesce_misses: args.flag("coalesce"),
             cache_policy: if args.flag("mad") {

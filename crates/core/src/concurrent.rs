@@ -821,10 +821,14 @@ impl ConcurrentDispatcher {
 
     /// Closes `conn` if it is registered; returns whether it was. The
     /// removal and the idempotence check happen under one shard lock,
-    /// so duplicate closes from racing teardown paths are safe.
+    /// so duplicate closes from racing teardown paths are safe. The
+    /// load is discharged under that lock too: [`active_connections`]
+    /// takes every shard lock, so an observer that sees the connection
+    /// gone also sees its load returned.
+    ///
+    /// [`active_connections`]: Self::active_connections
     pub fn try_close_connection(&self, conn: ConnId) -> bool {
-        let state = self.conns.with(conn, |c| c.remove(&conn));
-        match state {
+        self.conns.with(conn, |c| match c.remove(&conn) {
             None => false,
             Some(state) => {
                 self.loads.discharge(state.node, LOAD_UNIT);
@@ -833,7 +837,7 @@ impl ConcurrentDispatcher {
                 }
                 true
             }
-        }
+        })
     }
 }
 

@@ -53,7 +53,7 @@ pub const DEFAULT_VNODES: usize = 64;
 /// SplitMix64: the finalizer used for both ring points and target keys.
 /// Deterministic and platform-independent, so a ring built from the
 /// same membership always partitions targets identically (the
-/// simulator and both prototype io models must agree).
+/// simulator and the prototype must agree).
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

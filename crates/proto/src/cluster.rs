@@ -1,66 +1,56 @@
-//! Cluster assembly: peer servers, the front-end acceptor, and the
-//! connection handlers — the runnable analogue of the paper's §7 testbed.
+//! Cluster assembly: back-end nodes, the front-end tier, and the
+//! reactor shards that serve every socket — the runnable analogue of
+//! the paper's §7 testbed.
 //!
 //! ## Data path
 //!
-//! 1. A client connects to the front-end address; the acceptor spawns a
-//!    handler thread which reads the first request (content-based
+//! 1. A client connects to a front-end address and a reactor shard
+//!    accepts it. The shard reads the first request (content-based
 //!    distribution requires it) and asks the policy for a node — the
-//!    *handoff*. From then on the thread acts as that back-end's connection
-//!    handler: client bytes flow to it directly, responses flow back
-//!    directly, and the front-end only sees per-request control traffic —
-//!    the same division of labour as the paper's kernel handoff
-//!    (DESIGN.md §6.2/§6.4).
-//! 2. Subsequent pipelined batches are read off the socket; each request is
-//!    reported to the dispatcher, which answers `Local` or `Remote(k)`. A
-//!    remote assignment is realized by *tagging* the request URI
-//!    (`/be_<k>/t/<id>`, §7.3 verbatim) and fetching laterally from node
-//!    `k`'s peer server over a persistent connection (the NFS stand-in).
-//! 3. Peer servers serve `/t/<id>` from their own cache/disk, so a lateral
-//!    fetch exercises the remote node's cache exactly as NFS reads hit the
-//!    remote buffer cache in the paper.
+//!    *handoff*. From then on the shard serves the connection as that
+//!    back-end: client bytes flow to it directly, responses flow back
+//!    directly, and the front-end only sees per-request control
+//!    traffic — the same division of labour as the paper's kernel
+//!    handoff (DESIGN.md §6.2/§6.4).
+//! 2. Later pipelined batches are decided one batch at a time; the
+//!    dispatcher answers `Local` or `Remote(k)` for each request. A
+//!    remote assignment is a lateral fetch from node `k`'s peer server
+//!    over a persistent connection (the NFS stand-in; §7.3 tags the
+//!    URI `/be_<k>/t/<id>` for the same purpose).
+//! 3. Peer servers serve `/t/<id>` from their own cache/disk, so a
+//!    lateral fetch exercises the remote node's cache exactly as NFS
+//!    reads hit the remote buffer cache in the paper.
+//!
+//! See the [`crate::reactor`] module docs for the event loop itself.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{LockClass, Mutex};
-use phttp_core::{Assignment, ConnId, LardParams, Mechanism, NodeId, PolicyKind};
-use phttp_http::{Request, RequestParser, Response};
+use phttp_core::{ConnId, LardParams, Mechanism, NodeId, PolicyKind};
 use phttp_simcore::EvictPolicy;
-use phttp_trace::{TargetId, Trace};
+use phttp_trace::Trace;
 
-use crate::control::FrameDecoder;
-use crate::frontend::{ConfigError, ConnGuard, FrontEnd, DEFAULT_DISK_REPORT_INTERVAL};
+use crate::frontend::{ConfigError, FrontEnd, DEFAULT_DISK_REPORT_INTERVAL};
 use crate::node::{DiskEmu, FeedbackConfig, NodeState, NodeStatsSnapshot};
-use crate::reactor::{self, ReactorConfig, ReactorHandle, ReactorStats};
+use crate::reactor::{self, ConnInjector, ReactorConfig, ReactorHandle, ReactorStats};
 use crate::store::ContentStore;
 use crate::tier::{client_key, Vip, DEFAULT_GOSSIP_INTERVAL};
 
-/// Which I/O model the front-end runs client connections on.
+/// The front-end I/O model. The event-driven reactor is the only one:
+/// [`ProtoConfig::reactor_shards`] event loops drive every client
+/// connection, lateral fetch, lateral server connection, control
+/// session and emulated disk through epoll-style readiness (see the
+/// [`crate::reactor`] module docs).
 ///
-/// Both models share everything above the socket layer — the
-/// [`FrontEnd`], the batched dispatcher path, the content store, the
-/// peer lateral servers — and produce byte-identical responses, so
-/// [`IoModel::Threads`] doubles as a differential-testing oracle for
-/// [`IoModel::Reactor`].
+/// A no-op: the type and [`ProtoConfig::io_model`] are kept only until
+/// the benchmark stops naming them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoModel {
-    /// A pre-spawned worker pool with one blocking thread per in-flight
-    /// client connection. Simple and the historical default, but
-    /// concurrency is capped by `ProtoConfig::workers` and every idle
-    /// persistent connection pins a thread.
+    /// Event-loop shards; concurrency is bounded by file descriptors,
+    /// not threads.
     #[default]
-    Threads,
-    /// [`ProtoConfig::reactor_shards`] event-loop threads drive every
-    /// client connection, lateral fetch, lateral **server** connection,
-    /// and emulated disk through epoll-style readiness (see the
-    /// [`crate::reactor`] module docs). Concurrency is bounded by file
-    /// descriptors, not threads — the P-HTTP many-connection regime —
-    /// and the cluster runs zero per-client and zero per-peer-connection
-    /// threads.
     Reactor,
 }
 
@@ -104,27 +94,20 @@ pub struct ProtoConfig {
     pub feedback_batch: usize,
     /// Socket read timeout (bounds handler lifetime after client death).
     pub read_timeout: Duration,
-    /// Size of the pre-spawned client-connection worker pool. Must exceed
-    /// the expected number of concurrent client connections; excess
-    /// connections wait in the accept queue. Pre-spawning avoids paying a
-    /// thread spawn per HTTP/1.0 connection, which would otherwise dominate
-    /// the very overhead P-HTTP is being compared against.
-    pub workers: usize,
-    /// Front-end I/O model: blocking worker threads (the oracle) or the
-    /// event-driven reactor. See [`IoModel`].
+    /// No-op: the reactor is the only I/O model (see [`IoModel`]). Kept
+    /// until the benchmark stops naming it.
     pub io_model: IoModel,
-    /// Number of reactor event-loop shards under [`IoModel::Reactor`]
-    /// (one per core on a real host). Each shard owns its own poller,
-    /// accept socket(s) (an `SO_REUSEPORT` group per front-end address,
-    /// falling back to a round-robin acceptor handoff where the group
-    /// bind is unavailable), connection slab, timer heap, lateral
-    /// session pools, and its share of the peer listeners and control
-    /// sessions; shards share only the lock-sharded dispatcher. Must be
-    /// 1 (the default) under [`IoModel::Threads`] — requesting shards
-    /// without a reactor is a [`ConfigError`], as is 0.
+    /// Number of reactor event-loop shards (one per core on a real
+    /// host). Each shard owns its own poller, accept socket(s) (an
+    /// `SO_REUSEPORT` group per front-end address, falling back to a
+    /// round-robin acceptor handoff where the group bind is
+    /// unavailable), connection slab, timer heap, lateral session
+    /// pools, and its share of the peer listeners and control
+    /// sessions; shards share only the lock-sharded dispatcher. Zero is
+    /// a [`ConfigError`].
     pub reactor_shards: usize,
     /// Idle persistent lateral connections retained per peer pool (per
-    /// handler node in the thread model; per shard in the reactor).
+    /// shard, and per node for [`NodeState::lateral_fetch`]).
     /// Zero is a [`ConfigError`]: it would silently turn every lateral
     /// fetch into a fresh dial, defeating the persistent peer sessions
     /// the paper's NFS stand-in depends on.
@@ -132,15 +115,16 @@ pub struct ProtoConfig {
     /// Forces the reactor's round-robin acceptor-handoff accept path
     /// even where `SO_REUSEPORT` listener groups are available
     /// (diagnostics/tests; normally the handoff is auto-selected only
-    /// when the group bind fails). No effect under [`IoModel::Threads`].
+    /// when the group bind fails).
     pub force_accept_handoff: bool,
     /// Single-flight miss coalescing: when `true`, concurrent misses on
-    /// the same `(node, target)` share one emulated disk read (and
-    /// concurrent lateral fetches of one target from one handler share
-    /// one peer round-trip) — the extra missers park as *delayed hits*
-    /// instead of issuing redundant fetches. Response bytes are a pure
-    /// function of `(target, HTTP version)`, so transcripts are
-    /// byte-identical either way; only timing and fetch counts change.
+    /// the same `(node, target)` within one reactor shard share one
+    /// emulated disk read (and concurrent lateral fetches of one
+    /// `(remote, target)` share one peer round-trip) — the extra
+    /// missers park as *delayed hits* instead of issuing redundant
+    /// fetches. Response bytes are a pure function of `(target, HTTP
+    /// version)`, so transcripts are byte-identical either way; only
+    /// timing and fetch counts change.
     pub coalesce_misses: bool,
     /// Per-node cache eviction policy. [`EvictPolicy::Lru`] is the
     /// paper's policy; [`EvictPolicy::LruMad`] ranks victims by
@@ -183,15 +167,6 @@ pub struct ProtoConfig {
     /// only relax through an explicit [`Cluster::join_node`] handshake
     /// or a test's own [`FrontEnd::health_tick`] calls.
     pub health_tick_interval: Duration,
-    /// Zero-copy response write-out (default `true`): responses go to
-    /// the socket as a serialized head plus the *shared* body slice —
-    /// the cache's own allocation, refcount-bumped, never copied —
-    /// gathered in one vectored write. When `false`, every response is
-    /// flattened into a fresh contiguous wire buffer first (one body
-    /// memcpy per response): the historical behaviour, kept as the
-    /// copying baseline `BENCH_zerocopy.json` quantifies against.
-    /// Response bytes are identical either way, in both I/O models.
-    pub zero_copy: bool,
     /// Number of loopback addresses the front-end listens on
     /// (`127.0.0.1..127.0.0.k`). HTTP/1.0 load opens one TCP connection per
     /// request; on a single loopback address pair the 4-tuple space (and
@@ -217,7 +192,6 @@ impl Default for ProtoConfig {
             feedback_interval: Duration::from_millis(5),
             feedback_batch: 64,
             read_timeout: Duration::from_secs(10),
-            workers: 128,
             io_model: IoModel::default(),
             reactor_shards: 1,
             peer_pool_cap: 8,
@@ -230,7 +204,6 @@ impl Default for ProtoConfig {
             node_weights: Vec::new(),
             health: phttp_core::HealthConfig::default(),
             health_tick_interval: Duration::from_millis(25),
-            zero_copy: true,
             fe_listeners: 4,
         }
     }
@@ -247,35 +220,26 @@ pub struct Cluster {
     vip: Option<Arc<Vip>>,
     store: Arc<ContentStore>,
     stop: Arc<AtomicBool>,
+    /// Blocking acceptors of the acceptor-handoff fallback (empty when
+    /// the shards own `SO_REUSEPORT` groups).
     accept_threads: Vec<std::thread::JoinHandle<()>>,
-    worker_threads: Vec<std::thread::JoinHandle<()>>,
-    /// Per-node control-session readers ([`IoModel::Threads`] only; the
-    /// reactor drains control streams on its own poller).
-    control_threads: Vec<std::thread::JoinHandle<()>>,
-    /// Feeds accepted client connections (with their admitted front-end
-    /// index and tier ticket) to the worker pool. `None` after shutdown
-    /// begins (or always, under [`IoModel::Reactor`]) so workers see a
-    /// closed channel and exit.
-    work_tx: Option<crossbeam::channel::Sender<(TcpStream, usize, Option<ConnId>)>>,
-    /// The event-loop shards, under [`IoModel::Reactor`].
-    reactor: Option<ReactorHandle>,
-    /// Live reactor gauges (outlive `reactor` queries during shutdown).
-    reactor_stats: Option<Arc<ReactorStats>>,
-    /// Whether the reactor fell back to acceptor handoff (`None` under
-    /// [`IoModel::Threads`]).
-    accept_handoff: Option<bool>,
-    peer_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    /// The event-loop shards.
+    reactor: ReactorHandle,
+    /// One inbox per shard: fallback acceptors and
+    /// [`join_node`](Self::join_node) hand streams to the loops here.
+    injectors: Vec<ConnInjector>,
+    /// Live reactor gauges.
+    reactor_stats: Arc<ReactorStats>,
+    /// Whether the shards accept via round-robin handoff.
+    accept_handoff: bool,
+    /// Front-end addresses whose blocking acceptors need a wake-up
+    /// connect at shutdown.
     listeners: Vec<SocketAddr>,
     /// Whether the control plane exists (`ProtoConfig::cache_feedback`):
     /// with it, joins travel the wire; without, they apply in-process.
     cache_feedback: bool,
     /// Resolved per-slot capacity weights (all 1 when homogeneous).
     weights: Vec<u32>,
-    /// Control-session readers installed by [`join_node`](Self::join_node)
-    /// after start (both I/O models use a blocking reader thread for
-    /// dynamically joined nodes — see ARCHITECTURE.md), joined at
-    /// shutdown.
-    dynamic_control_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// The periodic breaker cooldown ticker, if enabled.
     health_thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -292,14 +256,8 @@ impl Cluster {
     /// Panics if `config.nodes == 0` or sockets cannot be bound on loopback.
     pub fn start(config: ProtoConfig, trace: &Trace) -> Result<Cluster, ConfigError> {
         assert!(config.nodes > 0, "cluster needs at least one back-end");
-        assert!(config.workers > 0, "worker pool must not be empty");
         if config.reactor_shards == 0 {
             return Err(ConfigError::ZeroReactorShards);
-        }
-        if config.io_model == IoModel::Threads && config.reactor_shards > 1 {
-            return Err(ConfigError::ReactorShardsWithoutReactor {
-                shards: config.reactor_shards,
-            });
         }
         if config.peer_pool_cap == 0 {
             return Err(ConfigError::ZeroPeerPoolCap);
@@ -337,9 +295,6 @@ impl Cluster {
             return Err(ConfigError::TargetExceedsBodyLimit { size });
         }
         let stop = Arc::new(AtomicBool::new(false));
-        let peer_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(
-            Mutex::new_classed(LockClass::other("peer-threads"), Vec::new()),
-        );
 
         // Bind every peer listener first so all addresses are known —
         // standby slots included, so a later join changes no node's view
@@ -363,7 +318,6 @@ impl Cluster {
                         peer_addrs.clone(),
                     )
                     .with_peer_pool_cap(config.peer_pool_cap)
-                    .with_coalescing(config.coalesce_misses)
                     .with_cache_policy(config.cache_policy)
                     .with_feedback(FeedbackConfig {
                         enabled: config.cache_feedback,
@@ -407,241 +361,115 @@ impl Cluster {
         }
         let vip = (config.front_ends > 1).then(|| Vip::start(fes.clone(), config.gossip_interval));
 
-        // Control sessions (§7.1): one loopback stream per back-end over
-        // which the node pushes framed disk-queue and cache-feedback
-        // reports. The node side attaches to the NodeState; the front-end
-        // side is drained by per-node reader threads (thread model) or by
-        // the reactor shards' pollers as registered readiness sources
-        // (reactor model). Frames carry the node id; the receive side is
-        // additionally tagged with it so an unexpected EOF can name the
-        // failed node.
+        // Control sessions (§7.1): one loopback stream per serving
+        // back-end over which the node pushes framed disk-queue and
+        // cache-feedback reports. The node side attaches to the
+        // NodeState; the front-end side is a readiness source on a
+        // reactor shard, tagged with its node so an unexpected EOF can
+        // name the failed node. A standby slot gets its session from its
+        // Join handshake.
         let mut control_rx: Vec<(usize, TcpStream)> = Vec::new();
         if config.cache_feedback {
-            let ctl_listener = TcpListener::bind("127.0.0.1:0").expect("bind control listener");
-            let ctl_addr = ctl_listener.local_addr().expect("control addr");
-            // Serving nodes only: a standby slot gets its session from
-            // its Join handshake.
             for (i, node) in nodes.iter().enumerate().take(config.nodes) {
-                let tx = TcpStream::connect(ctl_addr).expect("connect control session");
-                let (rx, _) = ctl_listener.accept().expect("accept control session");
+                let (tx, rx) = control_pair();
                 node.attach_control(tx);
                 control_rx.push((i, rx));
             }
         }
 
-        let mut accept_threads = Vec::new();
-        // Addresses whose *blocking* accept loops need a wake-up connect
-        // at shutdown (none of the reactor-owned listeners do).
-        let mut listeners = Vec::new();
-
-        let mut worker_threads = Vec::new();
-        let mut control_threads = Vec::new();
-        let mut work_tx = None;
-        let mut reactor_handle = None;
-        let mut reactor_stats = None;
-        let mut accept_handoff = None;
+        // The event-loop shards own every listener outright: the
+        // front-end accept sockets, the peer lateral servers, and the
+        // control sessions are all registered readiness sources.
+        let shards = config.reactor_shards;
         let mut fe_addrs = Vec::new();
-        match config.io_model {
-            IoModel::Threads => {
-                listeners.extend(peer_addrs.iter().copied());
-                // Peer servers: serve lateral fetches against their node's
-                // state. Under the thread model peer connections are few
-                // (bounded by the pooled lateral links) and long-lived, so
-                // a thread per connection is fine here. (The reactor model
-                // instead registers the peer listeners on its shards.)
-                for (listener, node) in peer_listeners.into_iter().zip(nodes.iter()) {
-                    let node = node.clone();
-                    let stop = stop.clone();
-                    let threads = peer_threads.clone();
-                    let timeout = config.read_timeout;
-                    let zero_copy = config.zero_copy;
-                    accept_threads.push(std::thread::spawn(move || {
-                        for incoming in listener.incoming() {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let Ok(stream) = incoming else { break };
-                            let node = node.clone();
-                            let handle = std::thread::spawn(move || {
-                                let _ = serve_peer_connection(stream, &node, timeout, zero_copy);
-                            });
-                            threads.lock().push(handle);
-                        }
-                    }));
-                }
-                // Control-session readers: one blocking thread per node,
-                // decoding frames and applying them to the dispatcher.
-                // They exit on EOF — the clean quiescent-flush EOF
-                // `Cluster::shutdown` produces after setting the stop
-                // flag, or a crash EOF, which evicts the node's mappings.
-                for (node_idx, rx) in control_rx.drain(..) {
-                    let fes = fes.clone();
-                    let stop = stop.clone();
-                    control_threads.push(std::thread::spawn(move || {
-                        run_control_reader(rx, &fes, NodeId(node_idx), &stop);
-                    }));
-                }
-                // Client-connection worker pool: pre-spawned handlers pull
-                // accepted streams off a channel, so accepting a connection
-                // costs a channel send rather than a thread spawn. Each
-                // entry carries the front-end the Vip admitted it to (index
-                // 0 and no tier ticket when there is no tier).
-                let (tx, work_rx) =
-                    crossbeam::channel::unbounded::<(TcpStream, usize, Option<ConnId>)>();
-                worker_threads.reserve(config.workers);
-                for _ in 0..config.workers {
-                    let rx = work_rx.clone();
-                    let fes = fes.clone();
-                    let vip = vip.clone();
-                    let store = store.clone();
-                    let timeout = config.read_timeout;
-                    let migration_delay = config.migration_delay;
-                    let zero_copy = config.zero_copy;
-                    worker_threads.push(std::thread::spawn(move || {
-                        while let Ok((stream, fe_idx, ticket)) = rx.recv() {
-                            let _ = handle_client_connection(
-                                stream,
-                                &fes[fe_idx],
-                                &store,
-                                timeout,
-                                migration_delay,
-                                zero_copy,
-                            );
-                            // The connection has fully unwound: tell the
-                            // tier so its forwarding route is removed.
-                            if let (Some(vip), Some(conn)) = (&vip, ticket) {
-                                vip.release(fe_idx, conn);
-                            }
-                        }
-                    }));
-                }
-                // Front-end acceptors, all feeding the shared worker pool.
-                // With a tier, the acceptor runs the Vip admission
-                // handshake before queueing the stream (the analogue of
-                // the paper's front-end handing the TCP state to a node).
-                for fe_listener in bind_std_frontends(config.fe_listeners) {
-                    let addr = fe_listener.local_addr().expect("front-end addr");
-                    fe_addrs.push(addr);
-                    listeners.push(addr);
-                    let stop = stop.clone();
-                    let tx = tx.clone();
-                    let vip = vip.clone();
-                    accept_threads.push(std::thread::spawn(move || {
-                        for incoming in fe_listener.incoming() {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let Ok(stream) = incoming else { break };
-                            let (fe_idx, ticket) = admit_stream(vip.as_deref(), &stream);
-                            if tx.send((stream, fe_idx, ticket)).is_err() {
-                                break;
-                            }
-                        }
-                    }));
-                }
-                work_tx = Some(tx);
+        // Per-shard front-end accept sockets. With one shard the plain
+        // listeners suffice; with several, each address is an
+        // SO_REUSEPORT group with one member per shard, so the kernel
+        // spreads accepts with no cross-shard traffic.
+        let mut groups: Vec<Vec<mio::net::TcpListener>> = (0..shards).map(|_| Vec::new()).collect();
+        // A front-end tier always accepts via handoff: the Vip admission
+        // handshake blocks on a control round-trip, which belongs on the
+        // acceptor threads, never inside an event loop.
+        let mut handoff = config.force_accept_handoff || vip.is_some();
+        if shards == 1 && !handoff {
+            for l in bind_std_frontends(config.fe_listeners) {
+                fe_addrs.push(l.local_addr().expect("front-end addr"));
+                groups[0].push(mio::net::TcpListener::from_std(l));
             }
-            IoModel::Reactor => {
-                // The event-loop shards own every listener outright: the
-                // front-end accept sockets, the peer lateral servers, and
-                // the control sessions are all registered readiness
-                // sources — no acceptor threads, no worker pool, no
-                // per-peer-connection threads. Shutdown goes through the
-                // shard wakers instead of wake-up connects.
-                let shards = config.reactor_shards;
-                // Per-shard front-end accept sockets. With one shard the
-                // plain listeners suffice; with several, each address is
-                // an SO_REUSEPORT group with one member per shard, so the
-                // kernel spreads accepts with no cross-shard traffic.
-                let mut groups: Vec<Vec<mio::net::TcpListener>> =
-                    (0..shards).map(|_| Vec::new()).collect();
-                // A front-end tier always accepts via handoff: the Vip
-                // admission handshake blocks on a control round-trip,
-                // which belongs on the acceptor threads, never inside an
-                // event loop.
-                let mut handoff = config.force_accept_handoff || vip.is_some();
-                let mut std_fe_listeners = Vec::new();
-                if shards == 1 && !handoff {
-                    for l in bind_std_frontends(config.fe_listeners) {
-                        fe_addrs.push(l.local_addr().expect("front-end addr"));
-                        groups[0].push(mio::net::TcpListener::from_std(l));
-                    }
-                } else if !handoff {
-                    'bind: for i in 0..config.fe_listeners.max(1) {
-                        match bind_reuseport_group(i, shards) {
-                            Ok((addr, group)) => {
-                                fe_addrs.push(addr);
-                                for (s, l) in group.into_iter().enumerate() {
-                                    groups[s].push(l);
-                                }
-                            }
-                            Err(_) => {
-                                // The shim can't express the group here:
-                                // fall back to acceptor handoff for every
-                                // address (mixed modes would complicate
-                                // shutdown for no benefit).
-                                handoff = true;
-                                break 'bind;
-                            }
+        } else if !handoff {
+            'bind: for i in 0..config.fe_listeners.max(1) {
+                match bind_reuseport_group(i, shards) {
+                    Ok((addr, group)) => {
+                        fe_addrs.push(addr);
+                        for (s, l) in group.into_iter().enumerate() {
+                            groups[s].push(l);
                         }
                     }
-                }
-                if handoff {
-                    fe_addrs.clear();
-                    groups = (0..shards).map(|_| Vec::new()).collect();
-                    for l in bind_std_frontends(config.fe_listeners) {
-                        let addr = l.local_addr().expect("front-end addr");
-                        fe_addrs.push(addr);
-                        listeners.push(addr);
-                        std_fe_listeners.push(l);
+                    Err(_) => {
+                        // The shim can't express the group here: fall
+                        // back to acceptor handoff for every address
+                        // (mixed modes would complicate shutdown for no
+                        // benefit).
+                        handoff = true;
+                        break 'bind;
                     }
                 }
-                let handle = reactor::spawn(
-                    ReactorConfig {
-                        migration_delay: config.migration_delay,
-                        read_timeout: config.read_timeout,
-                        shards,
-                        peer_pool_cap: config.peer_pool_cap,
-                        coalesce: config.coalesce_misses,
-                        zero_copy: config.zero_copy,
-                    },
-                    fes.clone(),
-                    vip.clone(),
-                    store.clone(),
-                    groups,
-                    peer_listeners,
-                    std::mem::take(&mut control_rx),
-                    stop.clone(),
-                )
-                .expect("start reactor event loops");
-                // Acceptor-handoff fallback: blocking acceptors hand each
-                // accepted stream to the next shard round-robin (staggered
-                // per listener so one hot address still spreads). Under a
-                // tier this path is mandatory and the acceptor also runs
-                // the Vip admission handshake.
-                if handoff {
-                    let injectors = handle.injectors();
-                    for (i, fe_listener) in std_fe_listeners.into_iter().enumerate() {
-                        let stop = stop.clone();
-                        let injectors = injectors.clone();
-                        let vip = vip.clone();
-                        accept_threads.push(std::thread::spawn(move || {
-                            for (n, incoming) in fe_listener.incoming().enumerate() {
-                                if stop.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                let Ok(stream) = incoming else { break };
-                                let (fe_idx, ticket) = admit_stream(vip.as_deref(), &stream);
-                                injectors[(i + n) % injectors.len()].push(stream, fe_idx, ticket);
-                            }
-                        }));
-                    }
-                }
-                reactor_stats = Some(handle.stats());
-                reactor_handle = Some(handle);
-                accept_handoff = Some(handoff);
             }
         }
+        let mut listeners = Vec::new();
+        let mut std_fe_listeners = Vec::new();
+        if handoff {
+            fe_addrs.clear();
+            groups = (0..shards).map(|_| Vec::new()).collect();
+            for l in bind_std_frontends(config.fe_listeners) {
+                let addr = l.local_addr().expect("front-end addr");
+                fe_addrs.push(addr);
+                listeners.push(addr);
+                std_fe_listeners.push(l);
+            }
+        }
+        let reactor = reactor::spawn(
+            ReactorConfig {
+                migration_delay: config.migration_delay,
+                read_timeout: config.read_timeout,
+                shards,
+                peer_pool_cap: config.peer_pool_cap,
+                coalesce: config.coalesce_misses,
+            },
+            fes.clone(),
+            vip.clone(),
+            store.clone(),
+            groups,
+            peer_listeners,
+            control_rx,
+            stop.clone(),
+        )
+        .expect("start reactor event loops");
+        let injectors = reactor.injectors();
+        // Acceptor-handoff fallback: blocking acceptors hand each
+        // accepted stream to the next shard round-robin (staggered per
+        // listener so one hot address still spreads). Under a tier this
+        // path is mandatory and the acceptor also runs the Vip admission
+        // handshake.
+        let accept_threads = std_fe_listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, fe_listener)| {
+                let stop = stop.clone();
+                let injectors = injectors.clone();
+                let vip = vip.clone();
+                std::thread::spawn(move || {
+                    for (n, incoming) in fe_listener.incoming().enumerate() {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let Ok(stream) = incoming else { break };
+                        let (fe_idx, ticket) = admit_stream(vip.as_deref(), &stream);
+                        injectors[(i + n) % injectors.len()].push(stream, fe_idx, ticket);
+                    }
+                })
+            })
+            .collect();
 
         // Breaker cooldown timer: Open breakers advance toward HalfOpen
         // probation once per interval, on every front-end.
@@ -678,20 +506,13 @@ impl Cluster {
             store,
             stop,
             accept_threads,
-            worker_threads,
-            control_threads,
-            work_tx,
-            reactor: reactor_handle,
-            reactor_stats,
-            accept_handoff,
-            peer_threads,
+            reactor_stats: reactor.stats(),
+            reactor,
+            injectors,
+            accept_handoff: handoff,
             listeners,
             cache_feedback: config.cache_feedback,
             weights,
-            dynamic_control_threads: Mutex::new_classed(
-                LockClass::other("dynamic-control-threads"),
-                Vec::new(),
-            ),
             health_thread,
         })
     }
@@ -761,16 +582,15 @@ impl Cluster {
     /// listeners run from cluster start either way — joining is a
     /// control-plane admission, not a process launch.
     ///
-    /// Dynamically installed sessions are drained by a dedicated
-    /// blocking reader thread under **both** I/O models (the reactor's
-    /// registered control sources are fixed at spawn; see
-    /// ARCHITECTURE.md). Returns `false` for an out-of-range slot.
+    /// The new session's front-end side goes to a reactor shard through
+    /// the same per-shard inbox the fallback acceptors use, so a join
+    /// spawns no thread. Returns `false` for an out-of-range slot.
     pub fn join_node(&self, i: usize) -> bool {
         let nodes = self.frontend.nodes();
         if i >= nodes.len() {
             return false;
         }
-        let node = nodes[i].clone();
+        let node = &nodes[i];
         if !self.cache_feedback {
             let msg = node.join_msg(self.weights[i]);
             for fe in &self.fes {
@@ -778,10 +598,10 @@ impl Cluster {
             }
             return true;
         }
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind join control listener");
-        let addr = listener.local_addr().expect("join control addr");
-        let tx = TcpStream::connect(addr).expect("connect join control session");
-        let (rx, _) = listener.accept().expect("accept join control session");
+        let (tx, rx) = control_pair();
+        // The shard owns the receive side before the announcement is
+        // written, so a large journal never blocks on an unread socket.
+        self.injectors[i % self.injectors.len()].push_control(i, rx);
         // Snapshot, announce, and install the session atomically: the
         // node keeps serving in-flight connections throughout its down
         // window, and an admission slipping between a detached snapshot
@@ -789,17 +609,13 @@ impl Cluster {
         // flush path — cached content invisible to every mirror.
         node.attach_control_with_join(tx, self.weights[i])
             .expect("write join announcement");
-        let fes = self.fes.clone();
-        let stop = self.stop.clone();
-        let handle = std::thread::spawn(move || run_control_reader(rx, &fes, NodeId(i), &stop));
-        self.dynamic_control_threads.lock().push(handle);
         true
     }
 
     /// Kills back-end slot `i` as the failure detector sees it: the
-    /// node side of its control session closes, every front-end's
-    /// reader observes the EOF, evicts the node's mappings, and trips
-    /// its breaker. Blocks until the breaker is `Open` on every
+    /// node side of its control session closes, the reactor shard
+    /// draining it observes the EOF, evicts the node's mappings, and
+    /// trips its breaker. Blocks until the breaker is `Open` on every
     /// front-end (so a subsequent rejoin cannot race the eviction);
     /// returns `false` if that does not happen within two seconds —
     /// e.g. the slot never had a session and was never serving. The
@@ -864,10 +680,11 @@ impl Cluster {
     }
 
     /// Waits (up to `timeout`) for every client connection's policy state
-    /// to unwind. Load generators return as soon as the last response
-    /// arrives, which can be a beat before the handler thread observes
-    /// the client's EOF and closes the connection — call this before
-    /// asserting on post-traffic accounting.
+    /// to unwind and every staged response byte to leave its queue. Load
+    /// generators return as soon as the last response arrives, which can
+    /// be a beat before the reactor observes the client's EOF and closes
+    /// the connection — call this before asserting on post-traffic
+    /// accounting.
     pub fn quiesce(&self, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         for fe in &self.fes {
@@ -879,28 +696,39 @@ impl Cluster {
         // Tier clusters additionally wait for every admitted
         // connection's close notification and settle the gossiped
         // views, so post-traffic assertions see converged state.
-        match &self.vip {
-            Some(vip) => {
-                let left = deadline.saturating_duration_since(std::time::Instant::now());
-                vip.quiesce(left)
+        if let Some(vip) = &self.vip {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            if !vip.quiesce(left) {
+                return false;
             }
-            None => true,
         }
+        // A peer-server connection is not a client connection: the
+        // fetching node can splice the last byte of a lateral response
+        // to its client before the serving shard, back from `writev`,
+        // has retired that response from its staging queue.
+        while self.reactor_stats.pending_body_bytes() > 0 {
+            if std::time::Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        true
     }
 
-    /// Live reactor gauges — registered sources and pending timers
-    /// across every shard — or `None` under [`IoModel::Threads`]. The
-    /// soak test uses this to prove the slab and timer heap drain to
-    /// zero once traffic stops.
+    /// Live reactor gauges — registered connection sources, pending
+    /// timers and staged body bytes across every shard. The soak test
+    /// uses this to prove the slab and timer heap drain to zero once
+    /// traffic stops. Always `Some`; the `Option` is kept for the
+    /// benchmark, which matches on it.
     pub fn reactor_stats(&self) -> Option<&ReactorStats> {
-        self.reactor_stats.as_deref()
+        Some(&self.reactor_stats)
     }
 
     /// Whether the reactor accepted via round-robin handoff rather than
-    /// `SO_REUSEPORT` listener groups (`None` under
-    /// [`IoModel::Threads`]). Diagnostics: lets tests assert the accept
-    /// path they meant to exercise is the one that actually ran.
-    pub fn used_accept_handoff(&self) -> Option<bool> {
+    /// `SO_REUSEPORT` listener groups. Diagnostics: lets tests assert
+    /// the accept path they meant to exercise is the one that actually
+    /// ran.
+    pub fn used_accept_handoff(&self) -> bool {
         self.accept_handoff
     }
 
@@ -915,7 +743,7 @@ impl Cluster {
 
     /// Forces every node to flush its pending cache-feedback report over
     /// the control session *now*, regardless of batch/interval. The
-    /// application is still asynchronous (the reader/poller has to drain
+    /// application is still asynchronous (a reactor shard has to drain
     /// the frames) — callers that need the dispatcher's belief settled
     /// poll [`FrontEnd::coherence`] after this. No-op when
     /// [`ProtoConfig::cache_feedback`] is off.
@@ -925,56 +753,29 @@ impl Cluster {
         }
     }
 
-    /// Stops the cluster: closes the listeners and joins all threads.
-    /// Under [`IoModel::Reactor`] this wakes the poller and waits for
-    /// the event loop to drain every registered connection — a blocked
+    /// Stops the cluster: wakes every shard's poller and waits for each
+    /// event loop to drain its registered connections — a blocked
     /// `epoll_wait` cannot observe the stop flag on its own, and open
     /// client connections must unwind their dispatcher state rather
-    /// than being abandoned to the kernel.
+    /// than being abandoned to the kernel — then closes the fallback
+    /// acceptors and the control sessions and joins every thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(reactor) = self.reactor.take() {
-            reactor.shutdown();
-        }
-        // Wake every blocked accept with a throwaway connection.
+        self.reactor.shutdown();
+        // Wake every blocked fallback accept with a throwaway connection.
         for addr in &self.listeners {
             let _ = TcpStream::connect(addr);
         }
         for t in self.accept_threads.drain(..) {
             let _ = t.join();
         }
-        // Closing the channel drains the pool: workers finish their current
-        // connection and exit on the closed channel.
-        drop(self.work_tx.take());
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
-        }
-        // With every connection handler gone, pooled idle lateral streams
-        // can only keep peer handler threads blocked in `read` until the
-        // socket timeout; drop them so the peer joins below are prompt.
+        // The peer servers died with the loops: drop the idle lateral
+        // streams `NodeState::lateral_fetch` pooled toward them, and the
+        // node sides of the control sessions. The stop flag was set
+        // first, so no shard read those EOFs as node failures.
         for node in self.frontend.nodes() {
             node.drain_peer_pools();
-        }
-        let handles: Vec<_> = std::mem::take(&mut *self.peer_threads.lock());
-        for t in handles {
-            let _ = t.join();
-        }
-        // Control sessions last: traffic has stopped, so flush whatever
-        // feedback is still pending (the quiescent flush), then close the
-        // node-side streams — the blocking readers see EOF after draining
-        // the final frames and exit without any timeout.
-        for node in self.frontend.nodes() {
-            node.flush_feedback();
             node.close_control();
-        }
-        for t in self.control_threads.drain(..) {
-            let _ = t.join();
-        }
-        // Dynamically joined nodes' readers exit on the same quiescent
-        // EOF (their node-side streams closed above with the rest).
-        let dynamic: Vec<_> = std::mem::take(&mut *self.dynamic_control_threads.lock());
-        for t in dynamic {
-            let _ = t.join();
         }
         if let Some(t) = self.health_thread.take() {
             let _ = t.join();
@@ -985,6 +786,16 @@ impl Cluster {
             vip.shutdown();
         }
     }
+}
+
+/// A connected loopback control session: the node's transmit side and
+/// the front-end's receive side.
+fn control_pair() -> (TcpStream, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind control listener");
+    let addr = listener.local_addr().expect("control addr");
+    let tx = TcpStream::connect(addr).expect("connect control session");
+    let (rx, _) = listener.accept().expect("accept control session");
+    (tx, rx)
 }
 
 /// Runs the Vip admission handshake for a freshly accepted client
@@ -1047,310 +858,4 @@ fn bind_reuseport_group(
         )?);
     }
     Ok((addr, group))
-}
-
-/// Drains one node's control session: decodes frames and applies them
-/// to every front-end until EOF or a framing error ends the stream —
-/// feedback describes the *node's* cache, which all front-ends in a
-/// tier dispatch against, so each keeps its own belief current. An
-/// EOF (or poisoned stream) while the cluster is **not** shutting down
-/// is a node failure: the node's believed mappings are evicted. The
-/// quiescent-flush EOF of a clean `Cluster::shutdown` never evicts —
-/// the stop flag is set before the node-side streams close.
-fn run_control_reader(
-    mut stream: TcpStream,
-    fes: &[Arc<FrontEnd>],
-    node: NodeId,
-    stop: &AtomicBool,
-) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    let fail = |fes: &[Arc<FrontEnd>]| {
-        if !stop.load(Ordering::Relaxed) {
-            for fe in fes {
-                fe.evict_node(node);
-            }
-        }
-    };
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                // EOF: the node side closed. Crash unless shutting down.
-                fail(fes);
-                return;
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                fail(fes);
-                return;
-            }
-        };
-        decoder.feed(&buf[..n]);
-        loop {
-            match decoder.next() {
-                Ok(Some(msg)) => {
-                    for fe in fes {
-                        fe.apply_control(msg.clone());
-                    }
-                }
-                Ok(None) => break,
-                // Framing has no resync point; treat a poisoned session
-                // like a dead node.
-                Err(_) => {
-                    fail(fes);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Writes one response to a blocking socket. With `zero_copy`, the
-/// serialized head and the shared body slice are gathered into a single
-/// `writev` — the body is written straight out of the cache's (or the
-/// store's) allocation, resuming mid-iovec on partial writes. Without
-/// it, the response is flattened into one contiguous buffer first and
-/// written whole — the copying baseline.
-fn write_response(stream: &mut TcpStream, resp: &Response, zero_copy: bool) -> std::io::Result<()> {
-    if !zero_copy {
-        return stream.write_all(&resp.to_bytes());
-    }
-    let head = resp.head_bytes();
-    let mut segs: [&[u8]; 2] = [&head, &resp.body];
-    let mut idx = 0;
-    while idx < segs.len() {
-        if segs[idx].is_empty() {
-            idx += 1;
-            continue;
-        }
-        let bufs: Vec<std::io::IoSlice<'_>> = segs[idx..]
-            .iter()
-            .map(|s| std::io::IoSlice::new(s))
-            .collect();
-        match stream.write_vectored(&bufs) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "socket accepted no bytes",
-                ))
-            }
-            Ok(mut n) => {
-                // Partial write: advance through the segments, possibly
-                // landing mid-segment; the next call resumes there.
-                while n > 0 {
-                    let take = n.min(segs[idx].len());
-                    segs[idx] = &segs[idx][take..];
-                    n -= take;
-                    if segs[idx].is_empty() {
-                        idx += 1;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Reads at least one request (blocking), then drains whatever else has
-/// already arrived — the handler's estimate of a pipelined batch, matching
-/// the front-end's packet-arrival batch estimate in the paper.
-fn read_batch(stream: &mut TcpStream, parser: &mut RequestParser) -> std::io::Result<Vec<Request>> {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        let batch = parser
-            .drain()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        if !batch.is_empty() {
-            return Ok(batch);
-        }
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Ok(Vec::new()); // clean EOF
-        }
-        parser.feed(&buf[..n]);
-    }
-}
-
-/// Serves one client connection end to end. See the module docs for the
-/// protocol walk-through.
-fn handle_client_connection(
-    mut stream: TcpStream,
-    fe: &FrontEnd,
-    store: &ContentStore,
-    timeout: Duration,
-    migration_delay: Duration,
-    zero_copy: bool,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    let mut parser = RequestParser::new();
-
-    // First request: required before the policy can choose a node.
-    let mut first_batch = read_batch(&mut stream, &mut parser)?;
-    if first_batch.is_empty() {
-        return Ok(());
-    }
-    let first = first_batch.remove(0);
-    let Some(first_target) = store.lookup(&first.uri) else {
-        write_response(&mut stream, &Response::not_found(first.version), zero_copy)?;
-        return Ok(());
-    };
-
-    let conn = fe.alloc_conn();
-    let node_id = fe.open_connection(conn, first_target);
-    let _guard = ConnGuard::new(fe, conn);
-    let mut node = fe.nodes()[node_id.0].clone();
-
-    // Handoff complete: this thread is now the back-end connection handler.
-    let keep = serve_one(&mut stream, &node, &first, Assignment::Local, zero_copy)?;
-    if !keep {
-        return Ok(());
-    }
-    // Any pipelined requests that arrived with the first one form the rest
-    // of batch 0 in trace terms; treat them as a batch of their own.
-    let mut pending = first_batch;
-    loop {
-        let batch = if pending.is_empty() {
-            match read_batch(&mut stream, &mut parser) {
-                Ok(b) => b,
-                // A read timeout is the idle-close path.
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            std::mem::take(&mut pending)
-        };
-        if batch.is_empty() {
-            break; // client closed
-        }
-        // One dispatcher call for the whole pipelined batch: the parser
-        // already drained it, so the policy can decide it under a single
-        // connection-shard visit and grouped mapping-shard acquisitions
-        // instead of per-request lock traffic. Unknown URIs get their 404
-        // in sequence but take no part in the policy batch.
-        let targets: Vec<Option<TargetId>> = batch.iter().map(|r| store.lookup(&r.uri)).collect();
-        let known: Vec<TargetId> = targets.iter().filter_map(|&t| t).collect();
-        let assignments = fe.assign_batch(conn, &known);
-        let mut next_assignment = assignments.into_iter();
-        for (req, target) in batch.iter().zip(&targets) {
-            if target.is_none() {
-                write_response(&mut stream, &Response::not_found(req.version), zero_copy)?;
-                continue;
-            }
-            let mut assignment = next_assignment.next().expect("one assignment per target");
-            if let Assignment::Remote(k) = assignment {
-                // Under migrate semantics the dispatcher has re-homed the
-                // connection: this thread now acts as back-end `k` (the
-                // in-process analogue of handing the TCP state over), after
-                // paying the emulated protocol cost. Checked against the
-                // configured semantics, not `connection_node`: with batched
-                // decisions a later request's migration may already have
-                // re-homed the connection past `k`, but each hop still has
-                // to be walked in order.
-                if fe.semantics() == phttp_core::ForwardSemantics::Migrate {
-                    std::thread::sleep(migration_delay);
-                    node = fe.nodes()[k.0].clone();
-                    node.stats.migrations_in.fetch_add(1, Ordering::Relaxed);
-                    assignment = Assignment::Local;
-                }
-            }
-            let keep = serve_one(&mut stream, &node, req, assignment, zero_copy)?;
-            if !keep {
-                return Ok(());
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Serves a single request on the connection-handling node per the
-/// assignment; returns whether the connection persists.
-fn serve_one(
-    stream: &mut TcpStream,
-    node: &NodeState,
-    req: &Request,
-    assignment: Assignment,
-    zero_copy: bool,
-) -> std::io::Result<bool> {
-    let body = match assignment {
-        Assignment::Local => {
-            let target = node
-                .store
-                .lookup(&req.uri)
-                .expect("caller verified the target");
-            node.serve_local(target)
-        }
-        Assignment::Remote(k) => {
-            // Tag the request the way the paper's dispatcher does, then act
-            // on the tag: fetch laterally from node k.
-            let mut tagged = req.clone();
-            tagged.tag(&format!("be_{}", k.0));
-            let (_seg, rest) = Request::untag(&tagged.uri).expect("just tagged");
-            let target = node.store.lookup(rest).expect("caller verified the target");
-            match node.lateral_fetch_coalesced(k, target) {
-                Ok(body) => body,
-                // Fall back to local disk if the peer path fails: the
-                // paper's prototype would surface an NFS error; degrading
-                // to local service keeps the cluster available.
-                Err(_) => node.serve_local(target),
-            }
-        }
-    };
-    // `body` is a clone of the cache's slice (or the store's fresh
-    // allocation); the zero-copy write sends it without flattening.
-    write_response(stream, &Response::ok(req.version, body), zero_copy)?;
-    Ok(req.keep_alive())
-}
-
-/// Serves lateral fetches on a peer connection until EOF.
-fn serve_peer_connection(
-    mut stream: TcpStream,
-    node: &NodeState,
-    timeout: Duration,
-    zero_copy: bool,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    let mut parser = RequestParser::new();
-    loop {
-        let batch = match read_batch(&mut stream, &mut parser) {
-            Ok(b) => b,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        if batch.is_empty() {
-            return Ok(());
-        }
-        for req in batch {
-            let resp = match node.store.lookup(&req.uri) {
-                // Serving for a peer exercises THIS node's cache and disk.
-                Some(target) => {
-                    if node.take_lateral_fault() {
-                        // Injected fault: die like a crashed lateral
-                        // server — close without responding. The fetcher
-                        // sees EOF mid-fetch and degrades to local
-                        // service.
-                        return Ok(());
-                    }
-                    node.stats.lateral_in.fetch_add(1, Ordering::Relaxed);
-                    Response::ok(req.version, node.serve_local(target))
-                }
-                None => Response::not_found(req.version),
-            };
-            write_response(&mut stream, &resp, zero_copy)?;
-        }
-    }
 }

@@ -1,18 +1,19 @@
-//! The front-end: policy decisions plus connection lifecycle, shared by the
-//! acceptor and every connection-handler thread.
+//! The front-end: policy decisions plus connection lifecycle, shared by
+//! every reactor shard.
 //!
 //! This wraps [`phttp_core::ConcurrentDispatcher`] — the same layered
 //! policy engine the simulator runs single-threaded — with **no lock of
-//! its own**. Every handler thread calls straight into the dispatcher,
+//! its own**. Every event loop calls straight into the dispatcher,
 //! whose hot path takes only the mapping shard and connection shard for
-//! the request in hand; the old `Mutex<Dispatcher>` that serialized all
-//! policy decisions across handler threads is gone. The front-end also
+//! the request in hand, so policy decisions never serialize across
+//! shards. The front-end also
 //! feeds the dispatcher the back-ends' disk-queue depths (the control
 //! session traffic of the paper's §7.1) — throttled to a configurable
 //! reporting interval, mirroring the paper's periodic control-session
 //! updates, so the per-decision hot path is not dominated by O(nodes)
-//! bookkeeping — and makes the lifecycle calls idempotent so connection
-//! handlers can use plain drop-guards.
+//! bookkeeping — and makes the lifecycle calls idempotent, so a
+//! connection released twice (say by the idle sweep and by teardown)
+//! unwinds once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,15 +41,9 @@ pub enum ConfigError {
         /// The offending document size, bytes.
         size: u64,
     },
-    /// `ProtoConfig::reactor_shards` is zero — a reactor front-end
-    /// needs at least one event loop.
+    /// `ProtoConfig::reactor_shards` is zero — the cluster needs at
+    /// least one event loop.
     ZeroReactorShards,
-    /// `ProtoConfig::reactor_shards` asks for more than one shard under
-    /// [`crate::IoModel::Threads`], which has no event loops to shard.
-    ReactorShardsWithoutReactor {
-        /// The requested shard count.
-        shards: usize,
-    },
     /// `ProtoConfig::peer_pool_cap` is zero: every lateral fetch would
     /// silently dial a fresh peer connection, defeating the persistent
     /// lateral sessions the paper's NFS stand-in depends on.
@@ -89,10 +84,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroReactorShards => {
                 write!(f, "reactor_shards must be at least 1")
             }
-            ConfigError::ReactorShardsWithoutReactor { shards } => write!(
-                f,
-                "reactor_shards = {shards} requires IoModel::Reactor (the thread model has no event loops to shard)"
-            ),
             ConfigError::ZeroFrontEnds => {
                 write!(f, "front_ends must be at least 1")
             }
@@ -104,7 +95,10 @@ impl std::fmt::Display for ConfigError {
                 "node_weights has {got} entries but the cluster allocates {expected} back-end slots"
             ),
             ConfigError::ZeroNodeWeight { node } => {
-                write!(f, "node_weights[{node}] is zero; weights must be at least 1")
+                write!(
+                    f,
+                    "node_weights[{node}] is zero; weights must be at least 1"
+                )
             }
             ConfigError::InvalidHealthConfig => {
                 write!(
@@ -291,10 +285,7 @@ impl FrontEnd {
     }
 
     /// Applies one decoded control-session message to the dispatcher.
-    /// Both I/O models funnel their control streams here: the blocking
-    /// per-node reader threads under `IoModel::Threads`, and the
-    /// registered control-channel readiness sources under
-    /// `IoModel::Reactor`.
+    /// Every reactor shard funnels the control sessions it drains here.
     pub fn apply_control(&self, msg: ControlMsg) {
         match msg {
             ControlMsg::DiskQueue { node, depth } => {
@@ -349,8 +340,8 @@ impl FrontEnd {
 
     /// Decommissions `node` for mapping purposes: drops every believed
     /// mapping that references it and forgets its mirrored cache
-    /// contents. This is the control-plane failure-handling hook — both
-    /// I/O models call it when a node's control session hits an
+    /// contents. This is the control-plane failure-handling hook — the
+    /// reactor calls it when a node's control session hits an
     /// **unexpected** EOF (the node died); the quiescent-flush EOF of a
     /// clean `Cluster::shutdown` never does (distinguished by the stop
     /// flag, set before the node-side streams close). The node's
@@ -425,8 +416,8 @@ impl FrontEnd {
     }
 
     /// Pushes every back-end's current disk-queue depth into the
-    /// dispatcher, at most once per reporting interval across all handler
-    /// threads. A decision used to pay O(nodes) atomic stores *every*
+    /// dispatcher, at most once per reporting interval across all event
+    /// loops. A decision used to pay O(nodes) atomic stores *every*
     /// time — pure control-session bookkeeping dominating the batched hot
     /// path. Now one CAS winner per interval refreshes the depths; every
     /// other caller pays a single relaxed load and moves on. Losing the
@@ -454,26 +445,6 @@ impl FrontEnd {
                 node.flush_feedback_if_due();
             }
         }
-    }
-}
-
-/// Drop-guard ensuring a connection is closed exactly once even if the
-/// handler thread unwinds.
-pub struct ConnGuard<'a> {
-    fe: &'a FrontEnd,
-    conn: ConnId,
-}
-
-impl<'a> ConnGuard<'a> {
-    /// Registers the guard.
-    pub fn new(fe: &'a FrontEnd, conn: ConnId) -> Self {
-        ConnGuard { fe, conn }
-    }
-}
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.fe.close_connection(self.conn);
     }
 }
 
@@ -593,17 +564,6 @@ mod tests {
         fe.close_connection(c); // second close is a no-op
         assert_eq!(fe.active_connections(), 0);
         assert!(fe.loads().iter().all(|&l| l.abs() < 1e-9));
-    }
-
-    #[test]
-    fn guard_closes_on_drop() {
-        let fe = fe(PolicyKind::ExtLard, 2);
-        let c = fe.alloc_conn();
-        fe.open_connection(c, TargetId(0));
-        {
-            let _g = ConnGuard::new(&fe, c);
-        }
-        assert_eq!(fe.active_connections(), 0);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! DESIGN.md §6.2-§6.4 for the substitution table versus the paper's
 //! FreeBSD kernel implementation.
 //!
-//! The front-end serves client connections under one of two selectable
-//! I/O models ([`ProtoConfig::io_model`](cluster::ProtoConfig)): a
-//! blocking worker-thread pool ([`IoModel::Threads`]) or a single
-//! epoll-style event loop ([`IoModel::Reactor`], the [`reactor`]
-//! module) that drives every connection, lateral fetch, and emulated
-//! disk without blocking, making policy decisions inline via the
-//! batched dispatcher path. The two are observably interchangeable —
-//! byte-identical responses, enforced by a differential test — so the
-//! thread model doubles as the reactor's oracle.
+//! Every socket — client connections, lateral fetches and their peer
+//! servers, control sessions — is served by event-driven reactor shards
+//! (the [`reactor`] module): `ProtoConfig::reactor_shards` epoll-style
+//! loops that drive connections and emulated disks without blocking and
+//! make policy decisions inline via the batched dispatcher path — the
+//! Flash-style server of the paper's cost model. Response bytes are a
+//! pure function of the request's target and HTTP version, so the
+//! differential tests check every transcript against one computed from
+//! the [`ContentStore`].
 //!
 //! # Examples
 //!

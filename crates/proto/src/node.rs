@@ -1,22 +1,22 @@
 //! Back-end node state: file cache, emulated disk, peer connections, stats.
 //!
 //! Each node owns a byte-budget LRU cache (standing in for FreeBSD's unified
-//! buffer cache), an emulated disk (a mutex-serialized sleep, preserving the
-//! one-disk-per-node queueing behaviour the extended-LARD heuristic observes),
-//! and a pool of persistent lateral TCP connections to its peers (standing in
-//! for the paper's NFS cross-mounts — DESIGN.md §6.3). Remotely fetched
-//! content is never inserted into the fetching node's cache, mirroring the
-//! paper's disabled NFS client caching.
+//! buffer cache), the disk-queue depth of its emulated disk (the reactor
+//! schedules the reads themselves, one spindle per node, preserving the
+//! queueing behaviour the extended-LARD heuristic observes), and a pool of
+//! persistent lateral TCP connections to its peers for blocking callers
+//! (the reactor keeps its own per-shard sessions; both stand in for the
+//! paper's NFS cross-mounts — DESIGN.md §6.3). Remotely fetched content is
+//! never inserted into the fetching node's cache, mirroring the paper's
+//! disabled NFS client caching.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, LockClass, Mutex};
+use parking_lot::{LockClass, Mutex};
 use phttp_core::{CacheEvent, NodeId};
 use phttp_http::{Request, ResponseParser, Version};
 use phttp_simcore::lru::{EvictPolicy, LruCache};
@@ -90,9 +90,8 @@ const FEEDBACK_EVENTS_PER_FRAME: usize = 4096;
 
 /// Node-side state of the control session: pending (unencoded) events,
 /// encoded-but-unwritten bytes, and the stream itself. Writes are
-/// non-blocking — under [`IoModel::Reactor`](crate::IoModel) the event
-/// loop is both this writer (disk completions run on it) and the
-/// front-end-side reader, so a blocking write could deadlock the loop
+/// non-blocking — a reactor shard's event loop is both this writer
+/// (disk completions run on it) and the front-end-side reader, so a blocking write could deadlock the loop
 /// against itself; unwritten bytes stay queued and retry on the next
 /// flush instead.
 #[derive(Debug, Default)]
@@ -101,52 +100,6 @@ struct ControlTx {
     pending: Vec<CacheEvent>,
     outbuf: Vec<u8>,
     last_flush: Option<Instant>,
-}
-
-/// Outcome of a single-flight fetch, observed by its parked waiters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlightOutcome {
-    /// The fetch is still in flight.
-    Pending,
-    /// The leader fetched the document (for local flights, it is now in
-    /// the cache; for lateral flights, the response body is reproducible
-    /// from the store).
-    Done,
-    /// The leader's fetch failed; every waiter must fail over itself.
-    Failed,
-}
-
-/// One in-flight fetch in a single-flight table (threads I/O model): the
-/// leader completes it exactly once; waiters block on the condvar.
-#[derive(Debug)]
-struct Flight {
-    state: Mutex<FlightOutcome>,
-    cv: Condvar,
-    /// Requests parked on this flight so far (MAD delay estimation).
-    waiters: AtomicU64,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            state: Mutex::new_classed(LockClass::flight(), FlightOutcome::Pending),
-            cv: Condvar::new(),
-            waiters: AtomicU64::new(0),
-        }
-    }
-
-    fn complete(&self, outcome: FlightOutcome) {
-        *self.state.lock() = outcome;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> FlightOutcome {
-        let mut st = self.state.lock();
-        while *st == FlightOutcome::Pending {
-            self.cv.wait(&mut st);
-        }
-        *st
-    }
 }
 
 /// Per-node counters (all monotonic).
@@ -220,8 +173,6 @@ pub struct NodeState {
     /// owner — serve paths hold extra handles only while bytes are in
     /// flight toward a socket.
     pub cache: Mutex<LruCache<TargetId, Bytes>>,
-    /// Serializes disk reads (one spindle per node).
-    disk: Mutex<()>,
     /// Number of requests queued on or holding the disk.
     disk_queue: AtomicUsize,
     /// Disk timing model.
@@ -246,16 +197,6 @@ pub struct NodeState {
     /// Node side of the control session (lock order: `cache` may be held
     /// when taking `control`, never the reverse).
     control: Mutex<ControlTx>,
-    /// Single-flight miss coalescing (threads I/O model; the reactor
-    /// keeps its own per-shard flight tables).
-    coalesce: bool,
-    /// In-flight local disk fetches, keyed by target. Lock order:
-    /// `cache` may be held when taking this, never the reverse —
-    /// registering a waiter under the cache lock closes the race with
-    /// the leader's insert-then-remove completion.
-    disk_flights: Mutex<HashMap<TargetId, Arc<Flight>>>,
-    /// In-flight lateral fetches, keyed by (remote node, target).
-    lateral_flights: Mutex<HashMap<(usize, TargetId), Arc<Flight>>>,
 }
 
 impl NodeState {
@@ -277,7 +218,6 @@ impl NodeState {
         NodeState {
             id,
             cache: Mutex::new_classed(LockClass::cache(nid), cache),
-            disk: Mutex::new_classed(LockClass::disk_spindle(nid), ()),
             disk_queue: AtomicUsize::new(0),
             disk_emu,
             store,
@@ -288,9 +228,6 @@ impl NodeState {
             stats: NodeStats::default(),
             feedback,
             control: Mutex::new_classed(LockClass::control(nid), ControlTx::default()),
-            coalesce: false,
-            disk_flights: Mutex::new_classed(LockClass::disk_flights(nid), HashMap::new()),
-            lateral_flights: Mutex::new_classed(LockClass::lateral_flights(nid), HashMap::new()),
         }
     }
 
@@ -309,21 +246,6 @@ impl NodeState {
         self
     }
 
-    /// Enables or disables single-flight miss coalescing (builder style).
-    /// With coalescing on, concurrent misses for the same target share
-    /// one disk read (and concurrent lateral fetches for the same
-    /// (remote, target) share one peer request) instead of queueing
-    /// redundant work.
-    pub fn with_coalescing(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
-    }
-
-    /// Whether single-flight miss coalescing is enabled.
-    pub fn coalescing(&self) -> bool {
-        self.coalesce
-    }
-
     /// Selects the cache victim-selection policy (builder style) — strict
     /// LRU or the delayed-hits-aware LRU-MAD.
     pub fn with_cache_policy(mut self, policy: EvictPolicy) -> Self {
@@ -338,9 +260,8 @@ impl NodeState {
 
     /// Test hook: arms `n` lateral-server faults on this node. Each of
     /// the next `n` lateral requests it would serve kills that peer
-    /// connection instead of responding — the fetching handler observes
-    /// EOF mid-fetch and must degrade the fetch to local service. Both
-    /// I/O models honour it.
+    /// connection instead of responding — the fetching shard observes
+    /// EOF mid-fetch and must degrade the fetch to local service.
     pub fn inject_lateral_faults(&self, n: u64) {
         self.lateral_faults.fetch_add(n as i64, Ordering::Relaxed);
     }
@@ -415,9 +336,9 @@ impl NodeState {
         Ok(())
     }
 
-    /// Drops the node side of the control session; the front-end's
-    /// reader observes EOF. Called by `Cluster::shutdown` so blocking
-    /// control readers unwind without timeouts.
+    /// Drops the node side of the control session; the reactor shard
+    /// draining it observes EOF (a node failure unless the cluster is
+    /// shutting down).
     pub fn close_control(&self) {
         let mut tx = self.control.lock();
         tx.stream = None;
@@ -597,127 +518,15 @@ impl NodeState {
         self.disk_queue.load(Ordering::Relaxed)
     }
 
-    /// Serves `target` from this node: cache probe, disk on miss (inserting
-    /// into the cache afterwards — the OS caches what it reads), body
-    /// generation. Returns the response body.
-    ///
-    /// With coalescing on, a miss first consults the single-flight table
-    /// (still under the cache lock, so the check cannot race the leader's
-    /// insert-then-remove completion): if a fetch for this target is
-    /// already in flight the request parks as a *delayed hit* and wakes
-    /// when the leader's read completes; otherwise it becomes the flight
-    /// leader and performs the one real disk read.
-    pub fn serve_local(&self, target: TargetId) -> Bytes {
-        enum Role {
-            /// Cached: the body slice cloned out under the cache lock.
-            Hit(Option<Bytes>),
-            Solo,
-            Leader(Arc<Flight>),
-            Waiter(Arc<Flight>),
-        }
-        let size = self.store.size(target);
-        let role = {
-            let mut cache = self.cache.lock();
-            if cache.touch(target) {
-                Role::Hit(cache.get(target).cloned())
-            } else if self.coalesce {
-                let mut flights = self.disk_flights.lock();
-                match flights.get(&target) {
-                    Some(f) => {
-                        f.waiters.fetch_add(1, Ordering::Relaxed);
-                        Role::Waiter(f.clone())
-                    }
-                    None => {
-                        let f = Arc::new(Flight::new());
-                        flights.insert(target, f.clone());
-                        Role::Leader(f)
-                    }
-                }
-            } else {
-                Role::Solo
-            }
-        };
-        self.stats.served.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(size, Ordering::Relaxed);
-        match role {
-            Role::Hit(cached) => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                // A hit serves the cache's own slice — no regeneration, no
-                // copy. The fallback covers metadata-only entries, which
-                // the serve path never creates (every admission below
-                // carries its body).
-                cached.unwrap_or_else(|| self.store.body(target))
-            }
-            Role::Solo => {
-                let read = self.blocking_disk_read(size);
-                let body = self.store.body(target);
-                self.cache_insert_reporting(target, size, read.as_micros() as u64, body.clone());
-                body
-            }
-            Role::Leader(f) => {
-                let read = self.blocking_disk_read(size);
-                // MAD sample: the read latency paid once, on behalf of the
-                // leader and every waiter parked so far. (Waiters joining
-                // between this load and the insert below merely undercount
-                // the estimate; they are still woken correctly.)
-                let parked = f.waiters.load(Ordering::Relaxed);
-                let agg_us = read.as_micros() as u64 * (1 + parked);
-                let body = self.store.body(target);
-                // Insert BEFORE retiring the flight: a concurrent probe
-                // always finds the target either cached or in flight.
-                self.cache_insert_reporting(target, size, agg_us, body.clone());
-                self.disk_flights.lock().remove(&target);
-                f.complete(FlightOutcome::Done);
-                body
-            }
-            Role::Waiter(f) => {
-                self.stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-                // Local disk reads cannot fail; the outcome is always Done.
-                f.wait();
-                // The leader admits before retiring the flight, so the
-                // slice is normally still cached; eviction in the gap
-                // falls back to regeneration (bodies are a pure function
-                // of the target, so the bytes are identical either way).
-                self.cache
-                    .lock()
-                    .get(target)
-                    .cloned()
-                    .unwrap_or_else(|| self.store.body(target))
-            }
-        }
-    }
-
-    /// The one real disk access of a miss: queue-depth accounting around
-    /// the mutex-serialized sleep spindle. Returns the emulated latency.
-    fn blocking_disk_read(&self, size: u64) -> Duration {
-        let read = self.disk_emu.read_time(size);
-        self.disk_queue.fetch_add(1, Ordering::Relaxed);
-        self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
-        {
-            let _spindle = self.disk.lock();
-            std::thread::sleep(read);
-        }
-        self.disk_queue.fetch_sub(1, Ordering::Relaxed);
-        read
-    }
-
     /// Non-blocking first half of serving `target`: probes the cache and
-    /// records the serve/bytes/hit counters. Returns `true` on a hit —
-    /// the body can be produced immediately. On a miss the disk-queue
-    /// depth is already incremented (the request is now "queued on the
-    /// disk" as far as the extended-LARD control data is concerned) and
-    /// the caller owns scheduling the emulated read; it must call
-    /// [`finish_disk_read`](Self::finish_disk_read) exactly once when
-    /// the read completes. The event-driven reactor uses this pair where
-    /// the thread path calls the blocking [`serve_local`](Self::serve_local).
-    pub fn begin_serve(&self, target: TargetId) -> bool {
-        self.begin_serve_body(target).is_some()
-    }
-
-    /// [`begin_serve`](Self::begin_serve) that, on a hit, also hands out
-    /// the body: a clone of the cached slice (zero-copy; the rare
-    /// metadata-only entry regenerates). `None` is a miss with the
-    /// disk-queue depth already incremented, exactly as `begin_serve`.
+    /// records the serve/bytes/hit counters. On a hit the body comes
+    /// back at once — a clone of the cached slice (zero-copy; the rare
+    /// metadata-only entry regenerates). `None` is a miss: the
+    /// disk-queue depth is already incremented (the request is now
+    /// "queued on the disk" as far as the extended-LARD control data is
+    /// concerned) and the caller owns scheduling the emulated read; it
+    /// must call [`finish_disk_read`](Self::finish_disk_read) exactly
+    /// once when the read completes.
     pub fn begin_serve_body(&self, target: TargetId) -> Option<Bytes> {
         let size = self.store.size(target);
         let cached = {
@@ -742,11 +551,11 @@ impl NodeState {
         }
     }
 
-    /// Completes a miss started by [`begin_serve`](Self::begin_serve):
-    /// pops the disk queue and inserts the document into the cache (the
-    /// OS caches what it reads), mirroring the tail of
-    /// [`serve_local`](Self::serve_local). Returns the body so callers
-    /// serve the very slice the cache now owns.
+    /// Completes a miss started by
+    /// [`begin_serve_body`](Self::begin_serve_body): pops the disk queue
+    /// and inserts the document into the cache (the OS caches what it
+    /// reads). Returns the body so callers serve the very slice the
+    /// cache now owns.
     pub fn finish_disk_read(&self, target: TargetId) -> Bytes {
         self.finish_disk_read_shared(target, 0)
     }
@@ -785,9 +594,7 @@ impl NodeState {
 
     /// Records a request that parked on an in-flight local fetch in the
     /// reactor (a delayed hit): it is served — response bytes counted —
-    /// without a disk read or a cache hit of its own. The reactor's
-    /// per-shard flight table calls this where the threads model's
-    /// [`serve_local`](Self::serve_local) waiter path books itself.
+    /// without a disk read or a cache hit of its own.
     pub fn note_coalesced_serve(&self, target: TargetId) {
         self.stats.served.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -809,7 +616,10 @@ impl NodeState {
     }
 
     /// Fetches `target` from peer `remote` over a persistent lateral
-    /// connection (the NFS stand-in). The result is NOT cached locally.
+    /// connection (the NFS stand-in), blocking the calling thread. The
+    /// result is NOT cached locally. The reactor never calls this (it
+    /// fetches over its own non-blocking sessions); it serves callers
+    /// outside the event loops, such as the benchmark's replay.
     pub fn lateral_fetch(&self, remote: NodeId, target: TargetId) -> std::io::Result<Bytes> {
         self.stats.lateral_out.fetch_add(1, Ordering::Relaxed);
         let mut stream = self.take_peer_conn(remote)?;
@@ -850,66 +660,6 @@ impl NodeState {
         }
     }
 
-    /// [`lateral_fetch`](Self::lateral_fetch) behind the single-flight
-    /// table (threads I/O model): concurrent fetches for the same
-    /// (remote, target) share one peer request. The leader fetches; the
-    /// waiters park and, on success, reproduce the identical body from
-    /// the store (response bytes are a pure function of the target). If
-    /// the leader's fetch fails, *every* waiter gets the error — each
-    /// caller then runs its own serve-locally failover, where the local
-    /// flight table coalesces the resulting disk reads in turn.
-    ///
-    /// With coalescing off this is exactly `lateral_fetch`.
-    pub fn lateral_fetch_coalesced(
-        &self,
-        remote: NodeId,
-        target: TargetId,
-    ) -> std::io::Result<Bytes> {
-        if !self.coalesce {
-            return self.lateral_fetch(remote, target);
-        }
-        let key = (remote.0, target);
-        // Unlike the local table there is no cache probe to serialize
-        // with, so registration needs no outer lock. A waiter that
-        // arrives just after the leader retired the flight simply starts
-        // a fresh one — an extra fetch, never a lost wakeup.
-        let leader = {
-            let mut flights = self.lateral_flights.lock();
-            match flights.get(&key) {
-                Some(f) => {
-                    f.waiters.fetch_add(1, Ordering::Relaxed);
-                    Err(f.clone())
-                }
-                None => {
-                    let f = Arc::new(Flight::new());
-                    flights.insert(key, f.clone());
-                    Ok(f)
-                }
-            }
-        };
-        match leader {
-            Ok(f) => {
-                let res = self.lateral_fetch(remote, target);
-                self.lateral_flights.lock().remove(&key);
-                f.complete(if res.is_ok() {
-                    FlightOutcome::Done
-                } else {
-                    FlightOutcome::Failed
-                });
-                res
-            }
-            Err(f) => {
-                self.stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-                match f.wait() {
-                    FlightOutcome::Done => Ok(self.store.body(target)),
-                    _ => Err(std::io::Error::other(
-                        "lateral flight leader failed; waiter must fail over",
-                    )),
-                }
-            }
-        }
-    }
-
     fn take_peer_conn(&self, remote: NodeId) -> std::io::Result<TcpStream> {
         if let Some(s) = self.peer_pool[remote.0].lock().pop() {
             return Ok(s);
@@ -927,11 +677,10 @@ impl NodeState {
         }
     }
 
-    /// Drops every pooled idle lateral connection. Closing them sends
-    /// FIN to the peer servers, whose handler threads would otherwise
-    /// sit in `read` until their socket timeout — `Cluster::shutdown`
-    /// calls this once client traffic has stopped so teardown never
-    /// waits out a read timeout on an idle pooled stream.
+    /// Drops every pooled idle lateral connection (the pool of
+    /// [`lateral_fetch`](Self::lateral_fetch)). `Cluster::shutdown`
+    /// calls this once the peer servers have stopped, so no dead stream
+    /// outlives the cluster.
     pub fn drain_peer_pools(&self) {
         for pool in &self.peer_pool {
             pool.lock().clear();
@@ -942,7 +691,6 @@ impl NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     fn node() -> NodeState {
@@ -959,16 +707,23 @@ mod tests {
         )
     }
 
+    /// Serves `target` the way a reactor shard does: a cache probe and,
+    /// on a miss, the completed disk read.
+    fn serve(n: &NodeState, target: TargetId) -> Bytes {
+        n.begin_serve_body(target)
+            .unwrap_or_else(|| n.finish_disk_read(target))
+    }
+
     #[test]
-    fn serve_local_miss_then_hit() {
+    fn serve_miss_then_hit() {
         let n = node();
         let t = TargetId(1);
-        let b1 = n.serve_local(t);
+        let b1 = serve(&n, t);
         assert_eq!(b1.len(), 2000);
         let s = n.stats.snapshot();
         assert_eq!(s.served, 1);
         assert_eq!(s.hits, 0);
-        let _b2 = n.serve_local(t);
+        let _b2 = serve(&n, t);
         let s = n.stats.snapshot();
         assert_eq!(s.served, 2);
         assert_eq!(s.hits, 1);
@@ -976,44 +731,50 @@ mod tests {
     }
 
     #[test]
-    fn cache_budget_evicts() {
-        let n = node(); // 4096-byte cache
-        n.serve_local(TargetId(0)); // 1000
-        n.serve_local(TargetId(1)); // 2000
-        n.serve_local(TargetId(2)); // 3000 -> evicts 0 (and 1)
-        assert!(!n.cache.lock().contains(TargetId(0)));
-        assert!(n.cache.lock().contains(TargetId(2)));
-    }
-
-    #[test]
-    fn begin_serve_matches_serve_local_accounting() {
+    fn begin_serve_miss_then_hit() {
         let n = node();
+        let t = TargetId(0);
         // Miss: depth rises until the caller completes the read, which
-        // also populates the cache — the split non-blocking protocol.
-        assert!(!n.begin_serve(TargetId(0)));
+        // also populates the cache.
+        assert!(n.begin_serve_body(t).is_none());
         assert_eq!(n.disk_queue_len(), 1);
-        n.finish_disk_read(TargetId(0));
+        n.finish_disk_read(t);
         assert_eq!(n.disk_queue_len(), 0);
-        assert!(n.cache.lock().contains(TargetId(0)));
+        assert!(n.cache.lock().contains(t));
+        let s = n.stats.snapshot();
+        assert_eq!(s.served, 1);
+        assert_eq!(s.hits, 0);
+        assert_eq!(s.disk_reads, 1);
         // Hit: resolved synchronously, depth untouched.
-        assert!(n.begin_serve(TargetId(0)));
+        assert!(n.begin_serve_body(t).is_some());
         assert_eq!(n.disk_queue_len(), 0);
         let s = n.stats.snapshot();
         assert_eq!(s.served, 2);
         assert_eq!(s.hits, 1);
         assert_eq!(s.bytes, 2000);
-        // Same observable totals as two blocking serve_local calls.
+        assert_eq!(s.disk_reads, 1);
+        // Same observable totals as two serves through the helper.
         let m = node();
-        m.serve_local(TargetId(0));
-        m.serve_local(TargetId(0));
+        serve(&m, t);
+        serve(&m, t);
         assert_eq!(m.stats.snapshot(), s);
+    }
+
+    #[test]
+    fn cache_budget_evicts() {
+        let n = node(); // 4096-byte cache
+        serve(&n, TargetId(0)); // 1000
+        serve(&n, TargetId(1)); // 2000
+        serve(&n, TargetId(2)); // 3000 -> evicts 0 (and 1)
+        assert!(!n.cache.lock().contains(TargetId(0)));
+        assert!(n.cache.lock().contains(TargetId(2)));
     }
 
     #[test]
     fn join_msg_snapshots_cache_and_reset_makes_it_cold() {
         let n = node(); // 4096-byte cache
-        n.serve_local(TargetId(0)); // 1000
-        n.serve_local(TargetId(1)); // 2000
+        serve(&n, TargetId(0)); // 1000
+        serve(&n, TargetId(1)); // 2000
         match n.join_msg(2) {
             ControlMsg::Join {
                 node,
@@ -1039,7 +800,7 @@ mod tests {
             other => panic!("expected Join, got {other:?}"),
         }
         // The wiped cache keeps working (and journalling) afterwards.
-        n.serve_local(TargetId(2));
+        serve(&n, TargetId(2));
         assert!(n.cache.lock().contains(TargetId(2)));
     }
 
@@ -1047,37 +808,44 @@ mod tests {
     fn hits_serve_the_cached_slice_and_release_it() {
         let n = node();
         let t = TargetId(1);
-        // Miss admits the body; the returned slice shares the cache's
-        // allocation (strong count 2: cache + this handle).
-        let b1 = n.serve_local(t);
+        // A miss returns the very slice it admitted (strong count 2:
+        // cache + this handle).
+        assert!(n.begin_serve_body(t).is_none());
+        let b1 = n.finish_disk_read(t);
         assert_eq!(b1.strong_count(), 2, "miss shares the admitted slice");
         // A hit clones the cache's slice — same allocation, no copy.
-        let b2 = n.serve_local(t);
+        let b2 = n.begin_serve_body(t).expect("cached => hit");
         assert!(std::ptr::eq(&b1[0], &b2[0]), "hit aliases the cached body");
         assert_eq!(b1.strong_count(), 3);
+        assert!(n.cached_body(t).is_some());
         drop(b1);
         drop(b2);
         // With no response in flight the cache is sole owner again.
         assert_eq!(n.cached_body_refcounts(), vec![(t, 1)]);
-        // The split reactor primitives hand out the same slice.
-        let b3 = n.begin_serve_body(t).expect("cached => hit");
-        assert_eq!(b3.strong_count(), 2);
-        assert!(n.cached_body(t).is_some());
-        drop(b3);
-        assert!(n.cached_body_refcounts().iter().all(|&(_, c)| c == 1));
-        // And a split-path miss returns the very slice it admitted.
-        let b4 = n.finish_disk_read({
-            assert!(n.begin_serve_body(TargetId(0)).is_none());
-            TargetId(0)
-        });
-        assert_eq!(b4.strong_count(), 2);
     }
 
     #[test]
     fn disk_queue_returns_to_zero() {
         let n = node();
-        n.serve_local(TargetId(0));
+        serve(&n, TargetId(0));
         assert_eq!(n.disk_queue_len(), 0);
+    }
+
+    /// The node itself never parks a request: two misses begun before
+    /// either read completes each own a read (coalescing them is the
+    /// reactor's flight table's job, off by default).
+    #[test]
+    fn coalescing_off_reads_redundantly() {
+        let n = node();
+        assert!(n.begin_serve_body(TargetId(2)).is_none());
+        assert!(n.begin_serve_body(TargetId(2)).is_none());
+        assert_eq!(n.disk_queue_len(), 2);
+        n.finish_disk_read(TargetId(2));
+        n.finish_disk_read(TargetId(2));
+        assert_eq!(n.disk_queue_len(), 0);
+        let s = n.stats.snapshot();
+        assert_eq!(s.coalesced_waits, 0, "no parking without coalescing");
+        assert_eq!(s.disk_reads + s.hits, 2, "each request read or hit");
     }
 
     #[test]
@@ -1126,150 +894,6 @@ mod tests {
         let got = n.lateral_fetch(NodeId(0), TargetId(0)).unwrap();
         assert_eq!(got, body);
         drop(n);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn concurrent_misses_share_one_disk_read() {
-        let store = Arc::new(ContentStore::from_sizes(vec![1000, 2000]));
-        let n = Arc::new(
-            NodeState::new(
-                NodeId(0),
-                1 << 20,
-                DiskEmu {
-                    seek: Duration::from_millis(50),
-                    bytes_per_sec: 1e9,
-                },
-                store.clone(),
-                Vec::new(),
-            )
-            .with_coalescing(true),
-        );
-        let threads = 4;
-        let barrier = Arc::new(std::sync::Barrier::new(threads));
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let n = n.clone();
-                let b = barrier.clone();
-                std::thread::spawn(move || {
-                    b.wait();
-                    n.serve_local(TargetId(0))
-                })
-            })
-            .collect();
-        let body = store.body(TargetId(0));
-        for h in handles {
-            assert_eq!(h.join().unwrap(), body, "every caller gets the bytes");
-        }
-        let s = n.stats.snapshot();
-        assert_eq!(s.served, threads as u64);
-        assert_eq!(
-            s.disk_reads, 1,
-            "concurrent misses for one target must share one read"
-        );
-        // Every non-leader either parked on the flight or (if it probed
-        // after completion) hit the now-populated cache.
-        assert_eq!(s.hits + s.coalesced_waits, threads as u64 - 1);
-        assert_eq!(n.disk_queue_len(), 0);
-        assert!(n.cache.lock().contains(TargetId(0)));
-    }
-
-    #[test]
-    fn coalescing_off_reads_redundantly() {
-        let n = Arc::new(node()); // coalescing off by default
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let n = n.clone();
-                let b = barrier.clone();
-                std::thread::spawn(move || {
-                    b.wait();
-                    n.serve_local(TargetId(2))
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = n.stats.snapshot();
-        assert_eq!(s.coalesced_waits, 0, "no parking without coalescing");
-        assert_eq!(s.disk_reads + s.hits, 2, "each request read or hit");
-    }
-
-    #[test]
-    fn lateral_flight_failure_fails_every_waiter_over() {
-        use std::net::TcpListener;
-
-        let store = Arc::new(ContentStore::from_sizes(vec![1000, 2000]));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // A peer that kills every lateral connection without responding —
-        // but only after holding it open long enough for the other
-        // threads to park on the leader's flight, so the failure lands on
-        // a fully-populated flight. The accept loop is unbounded (a
-        // coalesced run makes exactly one connection); the test stops it
-        // with a flag plus a sentinel connect.
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_accepting = stop.clone();
-        let server = std::thread::spawn(move || {
-            while !stop_accepting.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((s, _)) => {
-                        std::thread::sleep(Duration::from_millis(500));
-                        drop(s);
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-
-        let n = Arc::new(
-            NodeState::new(
-                NodeId(0),
-                1 << 20,
-                DiskEmu {
-                    seek: Duration::from_micros(100),
-                    bytes_per_sec: 1e9,
-                },
-                store.clone(),
-                vec![addr],
-            )
-            .with_coalescing(true),
-        );
-        let threads = 3;
-        let barrier = Arc::new(std::sync::Barrier::new(threads));
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let n = n.clone();
-                let b = barrier.clone();
-                std::thread::spawn(move || {
-                    b.wait();
-                    // The failover the cluster's serve path performs:
-                    // lateral fetch, then serve locally on error.
-                    match n.lateral_fetch_coalesced(NodeId(0), TargetId(0)) {
-                        Ok(body) => (body, false),
-                        Err(_) => (n.serve_local(TargetId(0)), true),
-                    }
-                })
-            })
-            .collect();
-        let body = store.body(TargetId(0));
-        let mut failed_over = 0;
-        for h in handles {
-            let (got, fo) = h.join().unwrap();
-            assert_eq!(got, body, "failover must still produce the bytes");
-            failed_over += fo as u64;
-        }
-        assert_eq!(
-            failed_over, threads as u64,
-            "leader failure must fail over leader AND every parked waiter"
-        );
-        // Exactly one lateral fetch touched the wire: the waiters parked
-        // on the leader's flight and failed over without re-fetching.
-        assert_eq!(n.stats.snapshot().lateral_out, 1);
-        drop(n);
-        stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(addr); // unblock the accept loop
         server.join().unwrap();
     }
 

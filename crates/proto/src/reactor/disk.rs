@@ -1,14 +1,13 @@
 //! Event-driven emulation of each node's single disk spindle.
 //!
-//! The thread path models a disk as a mutex-serialized `sleep`: one
-//! spindle, FIFO-ish service, and a depth counter the extended-LARD
-//! policy reads over the control session. Sleeping would stall the
-//! reactor's event loop, so here the same model is a deadline: at most
-//! one [`DiskJob`] is *busy* per node (its completion scheduled as a
+//! A node's disk is one spindle with FIFO service and a depth counter
+//! the extended-LARD policy reads over the control session. Sleeping
+//! would stall the reactor's event loop, so the model is a deadline:
+//! at most one [`DiskJob`] is *busy* per node (its completion scheduled as a
 //! reactor timer at `now + read_time`), later misses queue behind it,
 //! and the shared [`crate::node::NodeState`] depth counter moves at the
-//! same points as the blocking version (incremented when the miss is
-//! queued, decremented when the read completes).
+//! same points for every miss (incremented when the miss is queued,
+//! decremented when the read completes).
 //!
 //! With N reactor shards each shard owns its own scheduler per node,
 //! so a node's spindle can admit up to N concurrent reads — a

@@ -1,40 +1,41 @@
-//! `phttp-reactor`: the event-driven front-end I/O model.
+//! `phttp-reactor`: the event-driven I/O layer that serves every
+//! socket of the prototype.
 //!
-//! The thread-per-connection path (`cluster.rs`) burns one OS thread
-//! per client connection — the scalability wall the paper's front-end
-//! must avoid if P-HTTP's amortized TCP costs are to survive high
-//! concurrency. This module replaces it with readiness-driven
-//! (epoll-style, via the vendored `mio` shim) reactor **shards**:
-//! `ProtoConfig::reactor_shards` loop threads (one per core on a real
-//! host), each owning its own poller, its own front-end accept
-//! socket(s), its own generation-checked connection slab, timer heap,
-//! per-node lateral-session pools, its share of the back-ends'
-//! peer-server listeners and control sessions — and nothing else.
-//! Shards share only the already-`&self`-concurrent
+//! A thread per connection would burn one OS thread per client — the
+//! scalability wall the paper's front-end must avoid if P-HTTP's
+//! amortized TCP costs are to survive high concurrency, and the reason
+//! the paper's Flash server is event-driven. This module serves the
+//! cluster from readiness-driven (epoll-style, via the vendored `mio`
+//! shim) reactor **shards**: `ProtoConfig::reactor_shards` loop
+//! threads (one per core on a real host), each owning its own poller,
+//! its own front-end accept socket(s), its own generation-checked
+//! connection slab, timer heap, per-node lateral-session pools, its
+//! share of the back-ends' peer-server listeners and control sessions
+//! — and nothing else. Shards share only the already-`&self`-concurrent
 //! [`crate::FrontEnd`]/[`phttp_core::ConcurrentDispatcher`] and the
 //! content store; there are **no cross-shard channels on the data
 //! path**. Accept distribution uses `SO_REUSEPORT` listener groups
 //! (each shard binds its own socket on every front-end address; the
 //! kernel spreads connections across the group's accept queues), with
 //! a round-robin acceptor-handoff fallback where the reuseport bind is
-//! unavailable.
+//! unavailable. The same per-shard inbox carries the control sessions
+//! of nodes that join at runtime.
 //!
 //! Lateral **serving** is event-driven too: each node's peer listener
 //! is a registered source on one shard, and accepted peer connections
 //! run the same incremental-parse → serve → strictly-ordered write-out
-//! machine as client connections (minus the dispatcher). A
-//! reactor-mode cluster therefore runs zero per-client and zero
-//! per-peer-connection threads — its thread count is `reactor_shards`,
-//! independent of connection count.
+//! machine as client connections (minus the dispatcher). The cluster
+//! therefore runs zero per-client and zero per-peer-connection threads
+//! — its thread count is `reactor_shards`, independent of connection
+//! count.
 //!
-//! The policy engine needs no adaptation: PR 1/PR 2 shaped
-//! [`phttp_core::ConcurrentDispatcher`] so decisions run inline on
-//! event-loop threads — `FrontEnd::assign_batch` is called directly
-//! from each shard, one call per drained pipelined batch, exactly as
-//! the handler threads call it in the thread model.
+//! The policy engine needs no adaptation:
+//! [`phttp_core::ConcurrentDispatcher`] is shaped so decisions run
+//! inline on event-loop threads — `FrontEnd::assign_batch` is called
+//! directly from each shard, one call per drained pipelined batch.
 //!
-//! ## Connection lifecycle (see ARCHITECTURE.md "I/O models" for the
-//! full state diagram)
+//! ## Connection lifecycle (see ARCHITECTURE.md "Control-plane failure
+//! handling" for the full state diagram)
 //!
 //! 1. **Accept** — a listener's readable event accepts until
 //!    `WouldBlock`; each stream becomes a `conn::ClientConn` slab
@@ -112,12 +113,16 @@ use peer::{LateralJob, PeerSession, StreamIn};
 const WAKER: Token = Token(0);
 /// First front-end listener token; listener `i` is
 /// `Token(LISTENER_BASE + i)`. Peer-listener tokens follow the
-/// front-end listeners (`Reactor::peer_base`), control-channel tokens
-/// follow those (`Reactor::control_base`) and slab tokens follow those
-/// (`Reactor::slab_base`); all bases are computed from the configured
-/// counts, so the ranges can never collide however many listeners,
-/// nodes, or control sessions a shard owns.
+/// front-end listeners (`Reactor::peer_base`) and slab tokens follow
+/// those (`Reactor::slab_base`); both bases are computed from the
+/// configured counts, so the ranges never collide however many
+/// listeners or nodes a shard owns.
 const LISTENER_BASE: usize = 1;
+/// First control-session token; session `i` of a shard is
+/// `Token(CONTROL_BASE + i)`. A range of its own, far above any slab
+/// index, so sessions added by runtime joins need no slab slot and
+/// never count as connection sources.
+const CONTROL_BASE: usize = usize::MAX / 2;
 
 /// A slab slot reference that stays valid across slot reuse: the
 /// generation must still match for a completion to be delivered.
@@ -185,26 +190,20 @@ pub(crate) struct ReactorConfig {
     pub read_timeout: Duration,
     /// Number of event-loop shards (validated ≥ 1 by `Cluster::start`).
     pub shards: usize,
-    /// Idle lateral sessions retained per peer, per shard (mirrors the
-    /// thread path's per-peer pool cap).
+    /// Idle lateral sessions retained per peer, per shard.
     pub peer_pool_cap: usize,
     /// Single-flight miss coalescing (`ProtoConfig::coalesce_misses`):
     /// concurrent misses on one `(node, target)` park on the existing
     /// disk flight, and concurrent lateral fetches of one
     /// `(remote, target)` park on the existing peer round-trip.
     pub coalesce: bool,
-    /// Zero-copy staging (`ProtoConfig::zero_copy`): responses stage as
-    /// head + shared body slice; `false` flattens each response into a
-    /// contiguous buffer first (the copying baseline). Lateral splices
-    /// are inherently zero-copy and ignore the knob.
-    pub zero_copy: bool,
 }
 
 /// Live gauges of one shard, shared with the cluster for diagnostics.
 #[derive(Debug, Default)]
 struct ShardGauges {
     /// Registered slab sources (client conns + peer-server conns +
-    /// lateral sessions).
+    /// lateral sessions; control sessions are not slab sources).
     sources: AtomicUsize,
     /// Entries in the timer heap as of the last loop iteration.
     timers: AtomicUsize,
@@ -232,7 +231,9 @@ impl ReactorStats {
     }
 
     /// Total registered slab sources (connections of any kind plus
-    /// lateral sessions) across all shards.
+    /// lateral sessions) across all shards. Control sessions, whether
+    /// present at start or joined later, are not counted: this drains
+    /// to zero once traffic stops.
     pub fn sources(&self) -> usize {
         self.shards
             .iter()
@@ -266,15 +267,23 @@ impl ReactorStats {
     }
 }
 
-/// A fallback-handoff queue entry: the accepted stream, the
-/// front-end it was admitted to, and its tier ticket.
-type InjectedConn = (std::net::TcpStream, usize, Option<ConnId>);
-/// Shared queue of fallback-handoff connections for one shard.
-type InjectorQueue = Arc<Mutex<VecDeque<InjectedConn>>>;
+/// A stream handed to a shard from outside its loop.
+enum Inbound {
+    /// A client connection accepted by a fallback acceptor, with the
+    /// front-end it was admitted to and its tier ticket.
+    Client(std::net::TcpStream, usize, Option<ConnId>),
+    /// The front-end side of a control session installed by a runtime
+    /// join, with its node.
+    Control(usize, std::net::TcpStream),
+}
 
-/// Hands accepted connections to one shard (the round-robin fallback
-/// when `SO_REUSEPORT` listener groups are unavailable): the stream is
-/// queued and the shard's poller woken to register it.
+/// Shared inbox of one shard.
+type InjectorQueue = Arc<Mutex<VecDeque<Inbound>>>;
+
+/// Hands streams to one shard: accepted connections (the round-robin
+/// fallback when `SO_REUSEPORT` listener groups are unavailable) and
+/// the control sessions of runtime joins. The stream is queued and the
+/// shard's poller woken to register it.
 #[derive(Clone)]
 pub(crate) struct ConnInjector {
     q: InjectorQueue,
@@ -285,7 +294,17 @@ impl ConnInjector {
     /// Queues `stream` for the shard (tagged with the front-end the
     /// Vip admitted it to, plus the tier ticket) and wakes its poller.
     pub fn push(&self, stream: std::net::TcpStream, fe_idx: usize, vip_conn: Option<ConnId>) {
-        self.q.lock().push_back((stream, fe_idx, vip_conn));
+        self.send(Inbound::Client(stream, fe_idx, vip_conn));
+    }
+
+    /// Queues the front-end side of node `node`'s new control session
+    /// for the shard to drain, and wakes its poller.
+    pub fn push_control(&self, node: usize, stream: std::net::TcpStream) {
+        self.send(Inbound::Control(node, stream));
+    }
+
+    fn send(&self, inbound: Inbound) {
+        self.q.lock().push_back(inbound);
         let _ = self.waker.wake();
     }
 }
@@ -399,27 +418,8 @@ pub(crate) fn spawn(
                 .register(&mut l, Token(peer_base + i), Interest::READABLE)?;
             peer_lns.push((node, l));
         }
-        // The control sessions are ordinary readiness sources on the
-        // same poller: the loop decodes their frames exactly where the
-        // thread model runs its per-node reader threads.
-        let control_base = peer_base + peer_lns.len();
-        let mut chans = Vec::with_capacity(ctrls.len());
-        for (i, (node, s)) in ctrls.into_iter().enumerate() {
-            let mut chan = ControlChan {
-                node,
-                stream: mio::net::TcpStream::from_std(s),
-                decoder: FrameDecoder::new(),
-                open: true,
-            };
-            poll.registry().register(
-                &mut chan.stream,
-                Token(control_base + i),
-                Interest::READABLE,
-            )?;
-            chans.push(chan);
-        }
-        let slab_base = control_base + chans.len();
-        let reactor = Reactor {
+        let slab_base = peer_base + peer_lns.len();
+        let mut reactor = Reactor {
             shard: shard_idx,
             poll,
             fe: fe.clone(),
@@ -430,8 +430,7 @@ pub(crate) fn spawn(
             listeners,
             peer_base,
             peer_listeners: peer_lns,
-            control_base,
-            controls: chans,
+            controls: Vec::with_capacity(ctrls.len()),
             slab_base,
             inbox,
             stats: stats.clone(),
@@ -441,7 +440,6 @@ pub(crate) fn spawn(
             next_timer_id: 0,
             disks: (0..nodes).map(|_| DiskSched::default()).collect(),
             coalesce: cfg.coalesce,
-            zero_copy: cfg.zero_copy,
             lateral_flights: HashMap::new(),
             idle_peers: vec![Vec::new(); nodes],
             pending_pumps: Vec::new(),
@@ -452,6 +450,11 @@ pub(crate) fn spawn(
             peer_pool_cap: cfg.peer_pool_cap,
             last_sweep: Instant::now(),
         };
+        // The control sessions are ordinary readiness sources on the
+        // same poller, in their own token range.
+        for (node, s) in ctrls {
+            reactor.register_control(node, s)?;
+        }
         joins.push(
             std::thread::Builder::new()
                 .name(format!("phttp-reactor-{shard_idx}"))
@@ -468,13 +471,14 @@ pub(crate) fn spawn(
 
 /// One registered control-session stream plus its frame decoder.
 struct ControlChan {
-    /// The back-end this session belongs to (sessions are created in
-    /// node order; the index is needed for EOF-driven eviction).
+    /// The back-end this session belongs to (needed for EOF-driven
+    /// eviction).
     node: usize,
     stream: mio::net::TcpStream,
     decoder: FrameDecoder,
     /// Cleared on EOF or a framing error; the channel stays in the
     /// vector (token layout is positional) but is ignored thereafter.
+    /// A rejoining node gets a fresh channel.
     open: bool,
 }
 
@@ -502,15 +506,14 @@ struct Reactor {
     /// This shard's share of the back-ends' lateral-server listeners
     /// (`(node, listener)`; node `i` lives on shard `i % shards`).
     peer_listeners: Vec<(usize, mio::net::TcpListener)>,
-    /// First control-channel token: `peer_base + peer_listeners.len()`.
-    control_base: usize,
-    /// This shard's share of the registered control sessions (empty
-    /// when cache feedback is disabled).
+    /// This shard's share of the control sessions, at tokens from
+    /// [`CONTROL_BASE`] (node `i`'s sessions live on shard
+    /// `i % shards`; empty when cache feedback is disabled).
     controls: Vec<ControlChan>,
-    /// First slab token: `control_base + controls.len()`.
+    /// First slab token: `peer_base + peer_listeners.len()`.
     slab_base: usize,
-    /// Accepted connections handed off by fallback acceptor threads,
-    /// tagged with their admitted front-end and tier ticket.
+    /// Streams handed in from outside the loop: fallback-accepted
+    /// connections and the control sessions of runtime joins.
     inbox: InjectorQueue,
     /// Shared live-source gauges (this shard writes `shards[shard]`).
     stats: Arc<ReactorStats>,
@@ -521,11 +524,9 @@ struct Reactor {
     disks: Vec<DiskSched>,
     /// Single-flight coalescing enabled (`ProtoConfig::coalesce_misses`).
     coalesce: bool,
-    /// Zero-copy staging enabled (`ProtoConfig::zero_copy`).
-    zero_copy: bool,
     /// In-flight coalesced lateral fetches this shard leads, keyed by
     /// `(remote node, target)`: the parked waiters resolve (or fail
-    /// over) together with the flight leader. Flight scope is one
+    /// over) together with the flight leader. A flight's scope is one
     /// shard, like the disk schedulers — cross-shard duplicate fetches
     /// remain possible and are the documented sharding approximation.
     lateral_flights: HashMap<(usize, TargetId), Vec<LateralJob>>,
@@ -546,19 +547,12 @@ struct Reactor {
     last_sweep: Instant,
 }
 
-/// A complete `200 OK` staged for write-out. With `zero_copy` (the
-/// default) the entry holds the serialized head plus the *shared* body
-/// slice — the body is never copied into a contiguous wire buffer;
-/// `writev` gathers the pair at send time. Without it the response is
-/// flattened whole first (one body memcpy — the copying baseline the
-/// zerocopy bench quantifies). The wire bytes are identical either way.
-fn ok_state(version: Version, body: Bytes, zero_copy: bool) -> EntryState {
+/// A complete `200 OK` staged for write-out: the serialized head plus
+/// the *shared* body slice — the body is never copied into a contiguous
+/// wire buffer; `writev` gathers the pair at send time.
+fn ok_state(version: Version, body: Bytes) -> EntryState {
     let resp = Response::ok(version, body);
-    if zero_copy {
-        EntryState::Ready(resp.head_bytes(), resp.body)
-    } else {
-        EntryState::Ready(resp.to_bytes(), Bytes::new())
-    }
+    EntryState::Ready(resp.head_bytes(), resp.body)
 }
 
 /// A `404 Not Found` staging pair.
@@ -606,12 +600,12 @@ impl Reactor {
                 let Token(t) = ev.token();
                 if t == WAKER.0 {
                     continue; // inbox drained below, stop checked above
+                } else if t >= CONTROL_BASE {
+                    self.drain_control(t - CONTROL_BASE);
                 } else if t < self.peer_base {
                     self.accept_all(t - LISTENER_BASE);
-                } else if t < self.control_base {
-                    self.accept_peers(t - self.peer_base);
                 } else if t < self.slab_base {
-                    self.drain_control(t - self.control_base);
+                    self.accept_peers(t - self.peer_base);
                 } else {
                     self.handle_slot(t - self.slab_base);
                 }
@@ -739,27 +733,54 @@ impl Reactor {
         }
     }
 
-    /// Registers connections handed off by fallback acceptor threads.
+    /// Registers the streams handed in from outside the loop.
     fn drain_inbox(&mut self) {
         loop {
-            let Some((stream, fe_idx, vip_conn)) = self.inbox.lock().pop_front() else {
+            let Some(inbound) = self.inbox.lock().pop_front() else {
                 return;
             };
-            let stream = mio::net::TcpStream::from_std(stream);
-            let gauge = self.body_gauge();
-            self.register_client(ClientConn::admitted(stream, fe_idx, vip_conn, gauge));
+            match inbound {
+                Inbound::Client(stream, fe_idx, vip_conn) => {
+                    let stream = mio::net::TcpStream::from_std(stream);
+                    let gauge = self.body_gauge();
+                    self.register_client(ClientConn::admitted(stream, fe_idx, vip_conn, gauge));
+                }
+                Inbound::Control(node, stream) => {
+                    // A session the poller refuses is dropped: its Join
+                    // frame is never applied, so the node stays out of
+                    // the serving set, as if the join had not happened.
+                    let _ = self.register_control(node, stream);
+                }
+            }
         }
     }
 
     // ---- control sessions -----------------------------------------------
 
+    /// Registers the front-end side of node `node`'s control session
+    /// at the next token of the control range.
+    fn register_control(&mut self, node: usize, stream: std::net::TcpStream) -> io::Result<()> {
+        let mut chan = ControlChan {
+            node,
+            stream: mio::net::TcpStream::from_std(stream),
+            decoder: FrameDecoder::new(),
+            open: true,
+        };
+        self.poll.registry().register(
+            &mut chan.stream,
+            Token(CONTROL_BASE + self.controls.len()),
+            Interest::READABLE,
+        )?;
+        self.controls.push(chan);
+        Ok(())
+    }
+
     /// Drains one control session as far as readiness allows, applying
-    /// every decoded frame to every front-end — the reactor-side
-    /// analogue of the thread model's blocking per-node control reader
-    /// (feedback describes the node's cache, which all the tier's
-    /// dispatchers decide against). A session that dies while the
-    /// cluster is not shutting down is a node-failure signal: the
-    /// node's believed mappings are evicted from every front-end.
+    /// every decoded frame to every front-end (feedback describes the
+    /// node's cache, which all the tier's dispatchers decide against).
+    /// A session that dies while the cluster is not shutting down is a
+    /// node-failure signal: the node's believed mappings are evicted
+    /// from every front-end.
     fn drain_control(&mut self, idx: usize) {
         // Field-split the borrows: the channel is driven mutably while
         // frames are applied through `fes` and deregistration goes
@@ -889,9 +910,9 @@ impl Reactor {
     ) -> Result<(), phttp_http::ParseError> {
         loop {
             if c.close_after_drain {
-                // Mirrors the thread path: once a non-keep-alive request
-                // (or EOF) ends the logical connection, later pipelined
-                // requests are not served.
+                // Once a non-keep-alive request (or EOF) ends the
+                // logical connection, later pipelined requests are not
+                // served.
                 return Ok(());
             }
             let batch = c.parser.drain()?;
@@ -906,7 +927,7 @@ impl Reactor {
         }
     }
 
-    /// The inline analogue of the thread path's handler loop body: the
+    /// The connection handler's loop body, inline on the event loop: the
     /// first request drives the content-based handoff, every subsequent
     /// drained batch is decided in one `assign_batch` call.
     fn process_batch(&mut self, idx: usize, c: &mut ClientConn, mut batch: Vec<Request>) {
@@ -938,9 +959,10 @@ impl Reactor {
         }
         let conn = c.conn_id.expect("handoff done above");
 
-        // One dispatcher call for the whole pipelined batch — the same
-        // single connection-shard visit and grouped mapping-shard locks
-        // as the thread path, now running inline on the event loop.
+        // One dispatcher call for the whole pipelined batch: a single
+        // connection-shard visit and grouped mapping-shard locks instead
+        // of per-request lock traffic. Unknown URIs get their 404 in
+        // sequence but take no part in the policy batch.
         let targets: Vec<Option<TargetId>> =
             batch.iter().map(|r| self.store.lookup(&r.uri)).collect();
         let known: Vec<TargetId> = targets.iter().filter_map(|&t| t).collect();
@@ -996,9 +1018,8 @@ impl Reactor {
 
     /// The peer-server analogue of [`process_batch`]: every request
     /// serves on the listener's node — no handoff, no dispatcher, same
-    /// strict response ordering. Mirrors the thread model's
-    /// `serve_peer_connection` loop body, including its per-request
-    /// `lateral_in` accounting.
+    /// strict response ordering, with per-request `lateral_in`
+    /// accounting.
     fn process_peer_batch(&mut self, idx: usize, c: &mut ClientConn, batch: Vec<Request>) {
         let me = self.slot_ref(idx);
         let node_idx = c.node;
@@ -1059,7 +1080,7 @@ impl Reactor {
         // copy); the store fallback inside `begin_serve_body` covers
         // the raced-eviction window.
         if let Some(body) = self.fe.nodes()[node_idx].begin_serve_body(target) {
-            ok_state(version, body, self.zero_copy)
+            ok_state(version, body)
         } else {
             self.disk_enqueue(
                 node_idx,
@@ -1210,20 +1231,12 @@ impl Reactor {
         // to the cache — one allocation for the entire flight.
         let body =
             self.fe.nodes()[node_idx].finish_disk_read_shared(job.target, job.waiters.len() as u64);
-        self.deliver(
-            job.conn,
-            job.seq,
-            ok_state(job.version, body.clone(), self.zero_copy),
-        );
+        self.deliver(job.conn, job.seq, ok_state(job.version, body.clone()));
         // Waiters whose connection died meanwhile are dropped by
         // `deliver`'s generation check — the flight completes for the
         // survivors either way.
         for w in job.waiters {
-            self.deliver(
-                w.conn,
-                w.seq,
-                ok_state(w.version, body.clone(), self.zero_copy),
-            );
+            self.deliver(w.conn, w.seq, ok_state(w.version, body.clone()));
         }
         if let Some(next) = self.disks[node_idx].queue.pop_front() {
             self.disk_start(node_idx, next);
@@ -1233,8 +1246,10 @@ impl Reactor {
     // ---- lateral fetches ------------------------------------------------
 
     /// Issues a lateral fetch for a remote assignment, preferring a
-    /// pooled idle session; falls back to serving locally (like the
-    /// thread path) if no peer session can be set up.
+    /// pooled idle session; falls back to serving locally if no peer
+    /// session can be set up (the paper's prototype would surface an
+    /// NFS error; degrading to local service keeps the cluster
+    /// available).
     fn issue_lateral(&mut self, job: LateralJob, remote: NodeId) -> EntryState {
         // Single-flight: an in-flight fetch of this target from this
         // remote absorbs the request — it parks with the flight and is
@@ -1282,9 +1297,9 @@ impl Reactor {
         EntryState::Lateral
     }
 
-    /// The serve-locally degradation the thread path applies when the
-    /// peer path fails, as an [`EntryState`] (used while the owning
-    /// client is checked out, so it cannot go through [`deliver`]).
+    /// The serve-locally degradation applied when the peer path fails,
+    /// as an [`EntryState`] (used while the owning client is checked
+    /// out, so it cannot go through [`deliver`]).
     fn lateral_fallback_state(&mut self, job: LateralJob) -> EntryState {
         self.serve_on(job.conn, job.seq, job.handler, job.target, job.version)
     }
@@ -1475,8 +1490,8 @@ impl Reactor {
             match p.parser.next_head() {
                 Ok(Some(head)) => {
                     if head.status != 200 {
-                        // Thread path: a non-200 is an error — serve
-                        // locally (the whole flight) and do not pool.
+                        // A non-200 is an error — serve locally (the
+                        // whole flight) and do not pool.
                         let job = p.job.take().expect("checked above");
                         self.fail_lateral_flight(p.remote, job);
                         return Pump::Dead;
@@ -1637,11 +1652,7 @@ impl Reactor {
         }
         let body = self.store.body(job.target);
         for w in waiters {
-            self.deliver(
-                w.conn,
-                w.seq,
-                ok_state(w.version, body.clone(), self.zero_copy),
-            );
+            self.deliver(w.conn, w.seq, ok_state(w.version, body.clone()));
         }
     }
 
@@ -1703,9 +1714,9 @@ impl Reactor {
     }
 
     /// Closes a lateral session; an in-flight fetch degrades to local
-    /// service exactly as the thread path's error fallback does —
-    /// together with every request parked on its flight. A fetch that
-    /// died *mid-splice* instead completes the leader from the store
+    /// service — together with every request parked on its flight. A
+    /// fetch that died *mid-splice* instead completes the leader from
+    /// the store
     /// ([`abort_stream`](Self::abort_stream)): its response prefix is
     /// already on the wire.
     fn release_peer(&mut self, idx: usize, mut p: PeerSession) {
@@ -1750,10 +1761,10 @@ impl Reactor {
         }
     }
 
-    /// Applies the idle-close rule the thread path gets from its socket
-    /// read timeouts: a client/peer-server connection with nothing
-    /// pending, or a pooled lateral session with no in-flight fetch,
-    /// that has seen no activity for `read_timeout` is closed. This is
+    /// Applies the idle-close rule (`ProtoConfig::read_timeout`): a
+    /// client/peer-server connection with nothing pending, or a pooled
+    /// lateral session with no in-flight fetch, that has seen no
+    /// activity for `read_timeout` is closed. This is
     /// also what guarantees the slab drains to zero sources after
     /// traffic stops (the soak-test invariant): pooled lateral sessions
     /// and idle peer-server connections do not linger forever.

@@ -845,11 +845,11 @@ mod tests {
     fn concurrent_kill_never_leaks_tracked_routes() {
         let (vip, _fes) = tier(3, 2);
         let stop = Arc::new(AtomicBool::new(false));
-        let mut workers = Vec::new();
+        let mut admitters = Vec::new();
         for w in 0..4u16 {
             let vip = vip.clone();
             let stop = stop.clone();
-            workers.push(std::thread::spawn(move || {
+            admitters.push(std::thread::spawn(move || {
                 let mut port = 42_000 + w * 4_000;
                 while !stop.load(Ordering::Relaxed) {
                     port = port.wrapping_add(1).max(1024);
@@ -865,7 +865,7 @@ mod tests {
         assert!(vip.kill_frontend(0));
         std::thread::sleep(Duration::from_millis(20));
         stop.store(true, Ordering::Relaxed);
-        for w in workers {
+        for w in admitters {
             w.join().expect("admission worker");
         }
         let drained = vip.quiesce(Duration::from_secs(5));

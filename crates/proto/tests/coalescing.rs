@@ -1,4 +1,4 @@
-//! Single-flight miss coalescing, end to end over both I/O models.
+//! Single-flight miss coalescing, end to end.
 //!
 //! N client connections requesting the same cold document concurrently
 //! must cost exactly **one** emulated disk read with coalescing on (and
@@ -19,19 +19,10 @@ use std::time::Duration;
 
 use phttp_core::PolicyKind;
 use phttp_proto::{
-    run_load, ClientProtocol, Cluster, ContentStore, DiskEmu, EvictPolicy, IoModel, LoadConfig,
-    ProtoConfig,
+    run_load, ClientProtocol, Cluster, ContentStore, DiskEmu, EvictPolicy, LoadConfig, ProtoConfig,
 };
 use phttp_simcore::SimTime;
 use phttp_trace::{generate, reconstruct, ClientId, SessionConfig, SynthConfig, TargetId, Trace};
-
-fn io_models() -> Vec<IoModel> {
-    match std::env::var("PHTTP_IO_MODEL").as_deref() {
-        Ok("threads") => vec![IoModel::Threads],
-        Ok("reactor") => vec![IoModel::Reactor],
-        _ => vec![IoModel::Threads, IoModel::Reactor],
-    }
-}
 
 /// A 4-document corpus; the requests only seed the store (traffic is
 /// driven by hand over raw sockets).
@@ -48,7 +39,7 @@ fn corpus() -> Trace {
 
 /// One node, one shard, a slow spindle: every concurrent miss of one
 /// target is guaranteed to land inside the leader's read window.
-fn config(io_model: IoModel, coalesce: bool, seek: Duration) -> ProtoConfig {
+fn config(coalesce: bool, seek: Duration) -> ProtoConfig {
     ProtoConfig {
         nodes: 1,
         policy: PolicyKind::ExtLard,
@@ -58,7 +49,6 @@ fn config(io_model: IoModel, coalesce: bool, seek: Duration) -> ProtoConfig {
             bytes_per_sec: 200.0 * 1024.0 * 1024.0,
         },
         read_timeout: Duration::from_secs(10),
-        io_model,
         reactor_shards: 1,
         coalesce_misses: coalesce,
         ..ProtoConfig::default()
@@ -111,36 +101,30 @@ fn concurrent_cold_misses_cost_one_read_coalesced_n_uncoalesced() {
     const N: usize = 6;
     let trace = corpus();
     let target = TargetId(0);
-    for io in io_models() {
-        for coalesce in [true, false] {
-            let cluster = Cluster::start(config(io, coalesce, Duration::from_millis(250)), &trace)
-                .expect("start cluster");
-            // All N requests written well inside the 250 ms read window.
-            let streams: Vec<TcpStream> = (0..N).map(|_| send_get(&cluster, target)).collect();
-            for (i, s) in streams.into_iter().enumerate() {
-                assert_full_response(s, &cluster, target, &format!("{io:?} conn {i}"));
-            }
-            assert!(cluster.quiesce(Duration::from_secs(10)), "{io:?}");
-            let reads = disk_reads(&cluster);
-            let waits = coalesced_waits(&cluster);
-            if coalesce {
-                assert_eq!(reads, 1, "{io:?}: coalescing must share one read");
-                assert_eq!(waits, N as u64 - 1, "{io:?}: everyone else parks");
-            } else {
-                assert_eq!(reads, N as u64, "{io:?}: uncoalesced misses each read");
-                assert_eq!(waits, 0, "{io:?}: nothing may park with coalescing off");
-            }
-            // The flight's insert populated the cache: one more request
-            // is a pure hit, no new read.
-            let extra = send_get(&cluster, target);
-            assert_full_response(extra, &cluster, target, &format!("{io:?} post-flight"));
-            assert_eq!(
-                disk_reads(&cluster),
-                reads,
-                "{io:?}: post-flight hit read disk"
-            );
-            cluster.shutdown();
+    for coalesce in [true, false] {
+        let cluster = Cluster::start(config(coalesce, Duration::from_millis(250)), &trace)
+            .expect("start cluster");
+        // All N requests written well inside the 250 ms read window.
+        let streams: Vec<TcpStream> = (0..N).map(|_| send_get(&cluster, target)).collect();
+        for (i, s) in streams.into_iter().enumerate() {
+            assert_full_response(s, &cluster, target, &format!("conn {i}"));
         }
+        assert!(cluster.quiesce(Duration::from_secs(10)));
+        let reads = disk_reads(&cluster);
+        let waits = coalesced_waits(&cluster);
+        if coalesce {
+            assert_eq!(reads, 1, "coalescing must share one read");
+            assert_eq!(waits, N as u64 - 1, "everyone else parks");
+        } else {
+            assert_eq!(reads, N as u64, "uncoalesced misses each read");
+            assert_eq!(waits, 0, "nothing may park with coalescing off");
+        }
+        // The flight's insert populated the cache: one more request
+        // is a pure hit, no new read.
+        let extra = send_get(&cluster, target);
+        assert_full_response(extra, &cluster, target, "post-flight");
+        assert_eq!(disk_reads(&cluster), reads, "post-flight hit read disk");
+        cluster.shutdown();
     }
 }
 
@@ -152,29 +136,27 @@ fn waiter_death_mid_flight_leaks_nothing() {
     const N: usize = 5;
     let trace = corpus();
     let target = TargetId(1);
-    for io in io_models() {
-        let cluster = Cluster::start(config(io, true, Duration::from_millis(400)), &trace)
-            .expect("start cluster");
-        let mut streams: Vec<TcpStream> = (0..N).map(|_| send_get(&cluster, target)).collect();
-        // Everyone is registered on the flight (the read takes 400 ms);
-        // now one racer dies. Index N-1 wrote last, so with the writes
-        // serialized above it is a parked waiter, never the leader.
-        std::thread::sleep(Duration::from_millis(100));
-        drop(streams.pop().expect("the doomed waiter"));
-        for (i, s) in streams.into_iter().enumerate() {
-            assert_full_response(s, &cluster, target, &format!("{io:?} survivor {i}"));
-        }
-        assert_eq!(disk_reads(&cluster), 1, "{io:?}");
-        // The dead waiter's connection state unwound (threads: its
-        // handler observes the broken pipe after the flight completes;
-        // reactor: the slab generation check drops its delivery).
-        assert!(
-            cluster.quiesce(Duration::from_secs(10)),
-            "{io:?}: dead waiter leaked its connection"
-        );
-        assert_eq!(cluster.frontend().active_connections(), 0, "{io:?}");
-        cluster.shutdown();
+    let cluster =
+        Cluster::start(config(true, Duration::from_millis(400)), &trace).expect("start cluster");
+    let mut streams: Vec<TcpStream> = (0..N).map(|_| send_get(&cluster, target)).collect();
+    // Everyone is registered on the flight (the read takes 400 ms);
+    // now one racer dies. Index N-1 wrote last, so with the writes
+    // serialized above it is a parked waiter, never the leader.
+    std::thread::sleep(Duration::from_millis(100));
+    drop(streams.pop().expect("the doomed waiter"));
+    for (i, s) in streams.into_iter().enumerate() {
+        assert_full_response(s, &cluster, target, &format!("survivor {i}"));
     }
+    assert_eq!(disk_reads(&cluster), 1);
+    // The dead waiter's connection state unwound (threads: its
+    // handler observes the broken pipe after the flight completes;
+    // reactor: the slab generation check drops its delivery).
+    assert!(
+        cluster.quiesce(Duration::from_secs(10)),
+        "dead waiter leaked its connection"
+    );
+    assert_eq!(cluster.frontend().active_connections(), 0);
+    cluster.shutdown();
 }
 
 /// Satellite regression, leader edition: the connection that *started*
@@ -185,31 +167,29 @@ fn leader_death_mid_flight_still_serves_waiters() {
     const WAITERS: usize = 3;
     let trace = corpus();
     let target = TargetId(2);
-    for io in io_models() {
-        let cluster = Cluster::start(config(io, true, Duration::from_millis(400)), &trace)
-            .expect("start cluster");
-        // The leader is deterministic: its request is in before anyone
-        // else connects.
-        let leader = send_get(&cluster, target);
-        std::thread::sleep(Duration::from_millis(100));
-        let waiters: Vec<TcpStream> = (0..WAITERS).map(|_| send_get(&cluster, target)).collect();
-        std::thread::sleep(Duration::from_millis(100));
-        drop(leader);
-        for (i, s) in waiters.into_iter().enumerate() {
-            assert_full_response(s, &cluster, target, &format!("{io:?} waiter {i}"));
-        }
-        assert_eq!(disk_reads(&cluster), 1, "{io:?}");
-        assert_eq!(
-            coalesced_waits(&cluster),
-            WAITERS as u64,
-            "{io:?}: every late racer must have parked on the doomed leader"
-        );
-        assert!(
-            cluster.quiesce(Duration::from_secs(10)),
-            "{io:?}: dead leader leaked its connection"
-        );
-        cluster.shutdown();
+    let cluster =
+        Cluster::start(config(true, Duration::from_millis(400)), &trace).expect("start cluster");
+    // The leader is deterministic: its request is in before anyone
+    // else connects.
+    let leader = send_get(&cluster, target);
+    std::thread::sleep(Duration::from_millis(100));
+    let waiters: Vec<TcpStream> = (0..WAITERS).map(|_| send_get(&cluster, target)).collect();
+    std::thread::sleep(Duration::from_millis(100));
+    drop(leader);
+    for (i, s) in waiters.into_iter().enumerate() {
+        assert_full_response(s, &cluster, target, &format!("waiter {i}"));
     }
+    assert_eq!(disk_reads(&cluster), 1);
+    assert_eq!(
+        coalesced_waits(&cluster),
+        WAITERS as u64,
+        "every late racer must have parked on the doomed leader"
+    );
+    assert!(
+        cluster.quiesce(Duration::from_secs(10)),
+        "dead leader leaked its connection"
+    );
+    cluster.shutdown();
 }
 
 /// LRU-MAD is a drop-in eviction policy for the live cluster: under
@@ -223,48 +203,45 @@ fn lru_mad_with_coalescing_serves_and_stays_coherent() {
     synth.num_pages = 100;
     let trace = generate(&synth);
     let workload = reconstruct(&trace, SessionConfig::default());
-    for io in io_models() {
-        let cfg = ProtoConfig {
-            nodes: 3,
-            policy: PolicyKind::ExtLard,
-            cache_bytes: 384 * 1024, // far below the working set: churn
-            disk: DiskEmu {
-                seek: Duration::from_micros(300),
-                bytes_per_sec: 200.0 * 1024.0 * 1024.0,
-            },
-            read_timeout: Duration::from_secs(5),
-            io_model: io,
-            coalesce_misses: true,
-            cache_policy: EvictPolicy::LruMad,
-            feedback_interval: Duration::from_millis(2),
-            ..ProtoConfig::default()
-        };
-        let cluster = Cluster::start(cfg, &trace).expect("start cluster");
-        let report = run_load(
-            cluster.frontend_addrs(),
-            cluster.store(),
-            &workload,
-            &LoadConfig {
-                clients: 8,
-                protocol: ClientProtocol::PHttp,
-                ..LoadConfig::default()
-            },
-        );
-        assert_eq!(report.errors, 0, "{io:?}: byte-exactness broke under MAD");
-        assert_eq!(report.requests as usize, trace.len(), "{io:?}");
-        assert!(cluster.quiesce(Duration::from_secs(10)), "{io:?}");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut snap = cluster.frontend().coherence();
-        while snap.divergence != 0 && std::time::Instant::now() < deadline {
-            cluster.flush_feedback();
-            std::thread::sleep(Duration::from_millis(2));
-            snap = cluster.frontend().coherence();
-        }
-        assert_eq!(
-            snap.divergence, 0,
-            "{io:?}: MAD victim journaling desynced the mirror ({snap:?})"
-        );
-        assert!(snap.stale_removed > 0, "{io:?}: churn must shed beliefs");
-        cluster.shutdown();
+    let cfg = ProtoConfig {
+        nodes: 3,
+        policy: PolicyKind::ExtLard,
+        cache_bytes: 384 * 1024, // far below the working set: churn
+        disk: DiskEmu {
+            seek: Duration::from_micros(300),
+            bytes_per_sec: 200.0 * 1024.0 * 1024.0,
+        },
+        read_timeout: Duration::from_secs(5),
+        coalesce_misses: true,
+        cache_policy: EvictPolicy::LruMad,
+        feedback_interval: Duration::from_millis(2),
+        ..ProtoConfig::default()
+    };
+    let cluster = Cluster::start(cfg, &trace).expect("start cluster");
+    let report = run_load(
+        cluster.frontend_addrs(),
+        cluster.store(),
+        &workload,
+        &LoadConfig {
+            clients: 8,
+            protocol: ClientProtocol::PHttp,
+            ..LoadConfig::default()
+        },
+    );
+    assert_eq!(report.errors, 0, "byte-exactness broke under MAD");
+    assert_eq!(report.requests as usize, trace.len());
+    assert!(cluster.quiesce(Duration::from_secs(10)));
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut snap = cluster.frontend().coherence();
+    while snap.divergence != 0 && std::time::Instant::now() < deadline {
+        cluster.flush_feedback();
+        std::thread::sleep(Duration::from_millis(2));
+        snap = cluster.frontend().coherence();
     }
+    assert_eq!(
+        snap.divergence, 0,
+        "MAD victim journaling desynced the mirror ({snap:?})"
+    );
+    assert!(snap.stale_removed > 0, "churn must shed beliefs");
+    cluster.shutdown();
 }

@@ -1,15 +1,17 @@
 //! Differential tests of the front-end tier: a cluster with
-//! `front_ends ∈ {1, 2}` — in **both** I/O models — must be observably
-//! the same server as the single-front-end threads oracle.
+//! `front_ends ∈ {1, 2}` must serve exactly the transcript computed
+//! from the content store.
 //!
 //! Response bytes are a pure function of `(target, HTTP version)`
 //! regardless of which front-end admits a connection or which node
 //! serves a request, so per-connection transcripts must stay
-//! **byte-identical** however the VIP routes. Byte-identity alone
-//! cannot see the tier, though — a Vip that admitted nothing would
-//! pass — so the `front_ends = 2` legs additionally assert the
-//! admission handshakes actually ran (`handoffs > 0`) and that both
-//! front-ends took connections.
+//! **byte-identical** to the store's however the VIP routes.
+//! Byte-identity alone cannot see the tier, though — a Vip that
+//! admitted nothing would pass — so the `front_ends = 2` legs
+//! additionally assert the admission handshakes actually ran
+//! (`handoffs > 0`) and that both front-ends took connections. Both
+//! are deterministic: the Vip admits every connection with a handshake,
+//! round-robin across the live front-ends.
 //!
 //! The kill test decommissions one front-end **while its connections
 //! are in flight**: its consistent-hash partition must be re-owned by
@@ -17,14 +19,14 @@
 //! in-flight request must still complete byte-exact — the tier's
 //! failover contract.
 
-use std::io::{Read, Write};
+mod common;
+
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use bytes::BytesMut;
-use phttp_core::{FeId, Mechanism, PolicyKind};
-use phttp_http::{Request, ResponseParser, Version};
-use phttp_proto::{Cluster, ContentStore, DiskEmu, IoModel, ProtoConfig};
+use common::{assert_transcript, expected_transcript, play_capture, play_one, Transcript};
+use phttp_core::{FeId, LardParams, Mechanism, PolicyKind};
+use phttp_proto::{Cluster, DiskEmu, ProtoConfig};
 use phttp_trace::{generate, reconstruct, ConnectionTrace, SessionConfig, SynthConfig, TargetId};
 
 fn workload() -> (phttp_trace::Trace, ConnectionTrace) {
@@ -36,102 +38,45 @@ fn workload() -> (phttp_trace::Trace, ConnectionTrace) {
     (trace, conns)
 }
 
-fn config(io_model: IoModel, front_ends: usize) -> ProtoConfig {
+fn config(front_ends: usize) -> ProtoConfig {
     ProtoConfig {
         nodes: 3,
         policy: PolicyKind::ExtLard,
         mechanism: Mechanism::BackendForwarding,
-        // Same queue-building recipe as the reactor-equivalence matrix,
-        // so the remote serving paths run under every tier size.
+        // Same recipe as the reactor-equivalence matrix — queue-building
+        // caches and disks, rule 1b off — so the remote serving paths
+        // run under every tier size.
         cache_bytes: 512 * 1024,
         disk: DiskEmu {
             seek: Duration::from_millis(2),
             bytes_per_sec: 40.0 * 1024.0 * 1024.0,
         },
+        lard: LardParams {
+            disk_queue_low: 0,
+            ..LardParams::default()
+        },
         read_timeout: Duration::from_secs(5),
-        io_model,
         front_ends,
         gossip_interval: Duration::from_millis(1),
         ..ProtoConfig::default()
     }
 }
 
-/// Plays one trace connection and returns the re-encoded wire bytes of
-/// each of its responses, in request order.
-fn play_one(addr: SocketAddr, conn: &phttp_trace::Connection) -> Vec<Vec<u8>> {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut parser = ResponseParser::new();
-    let mut responses = Vec::with_capacity(conn.num_requests());
-    for batch in &conn.batches {
-        let mut wire = BytesMut::new();
-        for &target in &batch.targets {
-            Request::get(ContentStore::uri(target), Version::Http11).encode(&mut wire);
-        }
-        stream.write_all(&wire).unwrap();
-        let mut got = 0;
-        let mut buf = [0u8; 32 * 1024];
-        while got < batch.targets.len() {
-            if let Some(resp) = parser.next().expect("parse response") {
-                responses.push(resp.to_bytes().to_vec());
-                got += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).expect("read response");
-            assert!(n > 0, "server closed mid-connection");
-            parser.feed(&buf[..n]);
-        }
-    }
-    responses
-}
-
-/// Plays every connection of the workload (8 in flight at once so
-/// disk queues build and the VIP's round robin interleaves admissions)
-/// and returns each connection's transcript, indexed by connection
-/// order.
-fn play_capture(addrs: &[SocketAddr], workload: &ConnectionTrace) -> Vec<Vec<Vec<u8>>> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let cursor = AtomicUsize::new(0);
-    let transcript: Vec<parking_lot::Mutex<Vec<Vec<u8>>>> = workload
-        .connections
-        .iter()
-        .map(|_| parking_lot::Mutex::new(Vec::new()))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(conn) = workload.connections.get(i) else {
-                    break;
-                };
-                *transcript[i].lock() = play_one(addrs[i % addrs.len()], conn);
-            });
-        }
-    });
-    transcript.into_iter().map(|m| m.into_inner()).collect()
-}
-
-fn run_tier(io_model: IoModel, front_ends: usize) -> Vec<Vec<Vec<u8>>> {
+fn run_tier(front_ends: usize) {
     let (trace, conns) = workload();
-    let cluster = Cluster::start(config(io_model, front_ends), &trace).expect("start cluster");
-    let transcript = play_capture(cluster.frontend_addrs(), &conns);
+    let cluster = Cluster::start(config(front_ends), &trace).expect("start cluster");
+    let store = cluster.store().clone();
+    let transcript = play_capture(cluster.frontend_addrs(), &conns, &store);
     assert!(
         cluster.quiesce(Duration::from_secs(10)),
-        "{io_model:?}/{front_ends} FEs: connections leaked"
+        "{front_ends} FEs: connections leaked"
     );
     // Every front-end's dispatcher unwound its share to exactly zero.
     for (i, fe) in cluster.front_ends().iter().enumerate() {
-        assert_eq!(
-            fe.active_connections(),
-            0,
-            "{io_model:?}/{front_ends} FEs: fe {i}"
-        );
+        assert_eq!(fe.active_connections(), 0, "{front_ends} FEs: fe {i}");
         assert!(
             fe.loads().iter().all(|&l| l.abs() < 1e-12),
-            "{io_model:?}/{front_ends} FEs: fe {i} residual load {:?}",
+            "{front_ends} FEs: fe {i} residual load {:?}",
             fe.loads()
         );
     }
@@ -140,49 +85,43 @@ fn run_tier(io_model: IoModel, front_ends: usize) -> Vec<Vec<Vec<u8>>> {
         // The tier must have actually run: real admission handshakes
         // over the control sessions, spread across both front-ends by
         // the round robin (conn_count >> front_ends, so each gets some).
-        assert!(vip.handoffs() > 0, "{io_model:?}: no admission ever ran");
+        assert!(vip.handoffs() > 0, "no admission ever ran");
         for f in 0..front_ends {
             assert!(
                 vip.admitted(f) > 0,
-                "{io_model:?}: front-end {f} never admitted a connection"
+                "front-end {f} never admitted a connection"
             );
         }
         // Every admitted connection's close notification came back:
         // the forwarding table is empty again.
-        assert_eq!(vip.tracked(), 0, "{io_model:?}: tier routes leaked");
+        assert_eq!(vip.tracked(), 0, "tier routes leaked");
     }
+    let lateral: u64 = cluster.node_stats().iter().map(|s| s.lateral_out).sum();
+    assert!(
+        lateral > 0,
+        "{front_ends} FEs: no request was ever forwarded"
+    );
     cluster.shutdown();
-    transcript
+    let responses: usize = transcript.iter().map(|c| c.len()).sum();
+    assert_eq!(responses, trace.len(), "every request got a response");
+    assert_transcript(
+        &transcript,
+        &expected_transcript(&store, &conns),
+        &format!("{front_ends} front-ends"),
+    );
 }
 
 /// The tier legs every differential run covers: the tierless baseline
-/// and a 2-front-end tier, per I/O model.
+/// and a 2-front-end tier.
 const TIER_MATRIX: [usize; 2] = [1, 2];
 
-/// `front_ends ∈ {1, 2}` × both I/O models, all byte-identical to the
-/// single-front-end threads oracle.
+/// `front_ends ∈ {1, 2}`, each byte-identical to the store's transcript
+/// — and so to each other: the tier is indistinguishable from the
+/// single front-end.
 #[test]
 fn tier_matrix_matches_single_frontend_oracle() {
-    let (trace, _) = workload();
-    let oracle = run_tier(IoModel::Threads, 1);
-    let responses: usize = oracle.iter().map(|c| c.len()).sum();
-    assert_eq!(responses, trace.len(), "every request got a response");
-    assert!(oracle
-        .iter()
-        .flatten()
-        .all(|r| r.starts_with(b"HTTP/1.1 200 ") || r.starts_with(b"HTTP/1.0 200 ")));
-    for io_model in [IoModel::Threads, IoModel::Reactor] {
-        for front_ends in TIER_MATRIX {
-            if io_model == IoModel::Threads && front_ends == 1 {
-                continue; // that is the oracle itself
-            }
-            let tiered = run_tier(io_model, front_ends);
-            assert_eq!(
-                oracle, tiered,
-                "transcripts diverge from the single-front-end oracle \
-                 ({io_model:?}, {front_ends} front-ends)"
-            );
-        }
+    for front_ends in TIER_MATRIX {
+        run_tier(front_ends);
     }
 }
 
@@ -191,7 +130,7 @@ fn tier_matrix_matches_single_frontend_oracle() {
 #[test]
 fn kill_one_frontend_drains_without_loss() {
     let (trace, conns) = workload();
-    let cluster = Cluster::start(config(IoModel::Threads, 2), &trace).expect("start cluster");
+    let cluster = Cluster::start(config(2), &trace).expect("start cluster");
     let store = cluster.store().clone();
     let addrs: Vec<SocketAddr> = cluster.frontend_addrs().to_vec();
 
@@ -214,7 +153,7 @@ fn kill_one_frontend_drains_without_loss() {
                 let Some(conn) = conns.connections.get(i) else {
                     break;
                 };
-                *transcript[i].lock() = play_one(addrs[i % addrs.len()], conn);
+                *transcript[i].lock() = play_one(addrs[i % addrs.len()], conn, &store);
             });
         }
         // Let the players get connections in flight on both front-ends,
@@ -243,29 +182,20 @@ fn kill_one_frontend_drains_without_loss() {
     assert!(vip.admitted(0) > 0 && vip.admitted(1) > 0);
 
     // No in-flight request was lost: every connection's transcript is
-    // complete and byte-exact — responses are a pure function of
-    // (target, version), so each can be checked against the store
-    // directly, including every connection the dead front-end was
-    // still draining when it was decommissioned.
-    for (conn, got) in conns.connections.iter().zip(&transcript) {
-        let got = got.lock();
-        let want: Vec<Vec<u8>> = conn
-            .batches
-            .iter()
-            .flat_map(|b| b.targets.iter())
-            .map(|&t| {
-                phttp_http::Response::ok(Version::Http11, store.body(t))
-                    .to_bytes()
-                    .to_vec()
-            })
-            .collect();
-        assert_eq!(*got, want, "a request was lost or corrupted by the kill");
-    }
+    // complete and byte-exact — checked against the store, including
+    // every connection the dead front-end was still draining when it
+    // was decommissioned.
+    let transcript: Transcript = transcript.into_iter().map(|m| m.into_inner()).collect();
+    assert_transcript(
+        &transcript,
+        &expected_transcript(&store, &conns),
+        "a request was lost or corrupted by the kill",
+    );
 
     // New connections keep flowing, all admitted to the survivor.
     let before = vip.admitted(1);
     let (_, tail) = workload();
-    let extra = play_capture(&addrs, &tail);
+    let extra = play_capture(&addrs, &tail, &store);
     assert_eq!(
         extra.iter().map(|c| c.len()).sum::<usize>(),
         trace.len(),

@@ -11,32 +11,26 @@
 //! matrix
 //!
 //! ```text
-//! {threads oracle} vs {reactor × shards {1,2,4}} × coalescing {off,on}
-//!                                               × front_ends {1,2}
+//! reactor × shards {1,2,4} × coalescing {off,on} × front_ends {1,2}
 //! ```
 //!
-//! must produce **byte-identical** transcripts (responses are a pure
-//! function of `(target, HTTP version)`, so transcripts compare across
-//! io models, shard counts, and tier shapes). Each response body is
-//! additionally verified against the store, anchoring the equality to
-//! ground truth rather than to a shared bug. Every reactor run must
-//! demonstrably stream laterally (the remote path byte-identity alone
-//! cannot see), and must unwind to zero tracked connections, zero
-//! residual load, and a fully drained `pending_body_bytes` gauge.
-//!
-//! A final leg flips `zero_copy` off and replays the matrix corner
-//! cells: the copying baseline the zerocopy bench compares against must
-//! be invisible on the wire.
+//! must produce the transcript computed from the store (responses are
+//! a pure function of `(target, HTTP version)`, so one expected
+//! transcript serves every shard count and tier shape). Each response
+//! body is additionally verified against the store as it arrives. Every
+//! run must demonstrably stream laterally (the remote path
+//! byte-identity alone cannot see) — forced, not left to load timing,
+//! by switching extLARD's rule 1b off (`disk_queue_low = 0`) — and must
+//! unwind to zero tracked connections, zero residual load, and a fully
+//! drained `pending_body_bytes` gauge.
 
-use std::io::{Read, Write};
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
+
 use std::time::Duration;
 
-use bytes::BytesMut;
-use phttp_core::{Mechanism, PolicyKind};
-use phttp_http::{Request, ResponseParser, Version};
-use phttp_proto::{Cluster, ContentStore, DiskEmu, IoModel, ProtoConfig};
+use common::{assert_transcript, expected_transcript, play_capture, Transcript};
+use phttp_core::{LardParams, Mechanism, PolicyKind};
+use phttp_proto::{Cluster, ContentStore, DiskEmu, ProtoConfig};
 use phttp_simcore::SimTime;
 use phttp_trace::{reconstruct, ClientId, ConnectionTrace, SessionConfig, TargetId, Trace};
 
@@ -78,109 +72,42 @@ fn workload() -> (Trace, ConnectionTrace) {
     (trace, conns)
 }
 
-fn config(io_model: IoModel, shards: usize, front_ends: usize, coalesce: bool) -> ProtoConfig {
+fn config(shards: usize, front_ends: usize, coalesce: bool) -> ProtoConfig {
     ProtoConfig {
         nodes: 3,
         policy: PolicyKind::ExtLard,
         mechanism: Mechanism::BackendForwarding,
         // Per-node cache *below* the two largest bodies: those are
-        // uncacheable (every serve is a slow disk read, so queues build
-        // and extLARD demonstrably forwards), the mid-size targets fit
-        // but evict each other — so cached slices get evicted while
-        // their bytes are still queued for write-out (the refcount
-        // keeps them alive; a path that freed early would corrupt).
+        // uncacheable (every serve is a slow disk read), the mid-size
+        // targets fit but evict each other — so cached slices get
+        // evicted while their bytes are still queued for write-out (the
+        // refcount keeps them alive; a path that freed early would
+        // corrupt).
         cache_bytes: 2 * MIB - 1,
         disk: DiskEmu {
             seek: Duration::from_millis(2),
             bytes_per_sec: 100.0 * MIB as f64,
         },
+        lard: LardParams {
+            disk_queue_low: 0,
+            ..LardParams::default()
+        },
         coalesce_misses: coalesce,
         read_timeout: Duration::from_secs(10),
-        io_model,
         reactor_shards: shards,
         front_ends,
         ..ProtoConfig::default()
     }
 }
 
-/// Plays one trace connection, verifying each body against the store as
-/// it arrives, and returns the re-encoded wire bytes of each response.
-fn play_one(
-    addr: SocketAddr,
-    conn: &phttp_trace::Connection,
-    store: &ContentStore,
-) -> Vec<Vec<u8>> {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut parser = ResponseParser::new();
-    let mut responses = Vec::with_capacity(conn.num_requests());
-    let mut buf = vec![0u8; 64 * 1024];
-    for batch in &conn.batches {
-        let mut wire = BytesMut::new();
-        for &target in &batch.targets {
-            Request::get(ContentStore::uri(target), Version::Http11).encode(&mut wire);
-        }
-        stream.write_all(&wire).unwrap();
-        let mut got = 0;
-        while got < batch.targets.len() {
-            if let Some(resp) = parser.next().expect("parse response") {
-                assert_eq!(resp.status, 200);
-                assert!(
-                    store.verify(batch.targets[got], &resp.body),
-                    "corrupt body for {}",
-                    batch.targets[got]
-                );
-                responses.push(resp.to_bytes().to_vec());
-                got += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).expect("read response");
-            assert!(n > 0, "server closed mid-connection");
-            parser.feed(&buf[..n]);
-        }
-    }
-    responses
-}
-
-/// Plays every connection, several in flight at once (so staging queues
-/// actually back up against HIGH_WATER and extLARD actually forwards),
-/// spread across all front-end addresses.
-fn play_capture(
-    addrs: &[SocketAddr],
-    workload: &ConnectionTrace,
-    store: &ContentStore,
-) -> Vec<Vec<Vec<u8>>> {
-    let cursor = AtomicUsize::new(0);
-    let transcript: Vec<parking_lot::Mutex<Vec<Vec<u8>>>> = workload
-        .connections
-        .iter()
-        .map(|_| parking_lot::Mutex::new(Vec::new()))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(conn) = workload.connections.get(i) else {
-                    break;
-                };
-                *transcript[i].lock() = play_one(addrs[i % addrs.len()], conn, store);
-            });
-        }
-    });
-    transcript.into_iter().map(|m| m.into_inner()).collect()
-}
-
-/// One matrix cell: serve the workload, capture transcripts, prove the
-/// cluster unwound clean, and return (transcript, summed lateral_out).
-fn run_cell(mut cfg: ProtoConfig, cell: &str) -> (Vec<Vec<Vec<u8>>>, u64) {
+/// One matrix cell: serve the workload, check the transcript against
+/// `want`, prove the cluster unwound clean, and return the summed
+/// `lateral_out`.
+fn run_cell(cfg: ProtoConfig, want: &Transcript, cell: &str) -> u64 {
     let (trace, conns) = workload();
-    let io_model = cfg.io_model;
-    cfg.read_timeout = cfg.read_timeout.max(Duration::from_secs(10));
     let cluster = Cluster::start(cfg, &trace).expect("start cluster");
-    let transcript = play_capture(cluster.frontend_addrs(), &conns, cluster.store());
+    let store = cluster.store().clone();
+    let transcript = play_capture(cluster.frontend_addrs(), &conns, &store);
     assert!(
         cluster.quiesce(Duration::from_secs(15)),
         "{cell}: connections leaked"
@@ -192,43 +119,32 @@ fn run_cell(mut cfg: ProtoConfig, cell: &str) -> (Vec<Vec<Vec<u8>>>, u64) {
         "{cell}: residual load {:?}",
         fe.loads()
     );
-    if io_model == IoModel::Reactor {
-        // Satellite invariant: the staging-queue gauge charges each
-        // queued slice once and unwinds to exactly zero when every
-        // connection has drained.
-        let stats = cluster.reactor_stats().expect("reactor mode");
-        assert_eq!(
-            stats.pending_body_bytes(),
-            0,
-            "{cell}: pending_body_bytes gauge leaked"
-        );
-    }
+    // The staging-queue gauge charges each queued slice once and
+    // unwinds to exactly zero when every connection has drained.
+    let stats = cluster.reactor_stats().expect("reactor gauges");
+    assert_eq!(
+        stats.pending_body_bytes(),
+        0,
+        "{cell}: pending_body_bytes gauge leaked"
+    );
     let responses: usize = transcript.iter().map(|c| c.len()).sum();
     assert_eq!(responses, trace.len(), "{cell}: lost responses");
+    assert_transcript(&transcript, want, cell);
     let lateral: u64 = cluster.node_stats().iter().map(|s| s.lateral_out).sum();
     cluster.shutdown();
-    (transcript, lateral)
+    lateral
 }
 
 fn matrix(coalesce: bool) {
-    let (oracle, oracle_lateral) =
-        run_cell(config(IoModel::Threads, 1, 1, coalesce), "threads oracle");
-    assert!(
-        oracle_lateral > 0,
-        "oracle never forwarded — the recipe exercises no remote path"
-    );
+    // Every cell plays the same workload, so the store's transcript —
+    // some 80 MiB of generated bodies — is built once.
+    let (trace, conns) = workload();
+    let want = expected_transcript(&ContentStore::from_trace(&trace), &conns);
     for shards in [1usize, 2, 4] {
         for front_ends in [1usize, 2] {
-            let cell = format!("reactor/shards={shards}/fe={front_ends}/coalesce={coalesce}");
-            let (transcript, lateral) = run_cell(
-                config(IoModel::Reactor, shards, front_ends, coalesce),
-                &cell,
-            );
+            let cell = format!("shards={shards}/fe={front_ends}/coalesce={coalesce}");
+            let lateral = run_cell(config(shards, front_ends, coalesce), &want, &cell);
             assert!(lateral > 0, "{cell}: no lateral stream ever ran");
-            assert_eq!(
-                oracle, transcript,
-                "{cell}: large-body transcripts diverge from the threads oracle"
-            );
         }
     }
 }
@@ -241,23 +157,4 @@ fn large_body_matrix_matches_threads_oracle() {
 #[test]
 fn large_body_matrix_matches_threads_oracle_with_coalescing() {
     matrix(true);
-}
-
-/// The copying baseline (`zero_copy: false` — responses flattened into
-/// one contiguous buffer before write-out) must be byte-identical to
-/// the zero-copy path in both io models; it exists only so the zerocopy
-/// bench has an honest same-harness comparison.
-#[test]
-fn copying_baseline_is_invisible_on_the_wire() {
-    let (oracle, _) = run_cell(config(IoModel::Threads, 1, 1, false), "zc oracle");
-    for io_model in [IoModel::Threads, IoModel::Reactor] {
-        let shards = if io_model == IoModel::Reactor { 2 } else { 1 };
-        let mut cfg = config(io_model, shards, 1, false);
-        cfg.zero_copy = false;
-        let (transcript, _) = run_cell(cfg, &format!("copying/{io_model:?}"));
-        assert_eq!(
-            oracle, transcript,
-            "{io_model:?}: the zero_copy knob changed response bytes"
-        );
-    }
 }
