@@ -12,4 +12,4 @@ pub mod message;
 pub mod parser;
 
 pub use message::{keep_alive, Headers, Request, Response, Version};
-pub use parser::{ParseError, RequestParser, ResponseParser, MAX_BODY};
+pub use parser::{ParseError, RequestParser, RequestView, ResponseParser, MAX_BODY};

@@ -92,7 +92,13 @@ impl Headers {
 
 /// Whether a connection persists after a message with these properties.
 pub fn keep_alive(version: Version, headers: &Headers) -> bool {
-    match headers.get("Connection") {
+    keep_alive_with(version, headers.get("Connection"))
+}
+
+/// [`keep_alive`] given the message's first `Connection` value: the one
+/// rule both the owned [`Headers`] and the parser's in-place view use.
+pub(crate) fn keep_alive_with(version: Version, connection: Option<&str>) -> bool {
+    match connection {
         Some(v) if v.eq_ignore_ascii_case("close") => false,
         Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
         _ => version == Version::Http11,
@@ -218,18 +224,33 @@ impl Response {
     /// without materializing the body: byte-identical to
     /// `Response::ok(version, body).head_bytes()` for any `body` of that
     /// length. The streaming splice path sends this head to the client
-    /// before the body has arrived from the peer.
+    /// before the body has arrived from the peer, and `ContentStore`
+    /// builds its per-target head table with it.
     pub fn ok_head(version: Version, len: usize) -> Bytes {
-        let mut headers = Headers::new();
-        headers.set("Content-Length", len.to_string());
-        let resp = Response {
-            version,
-            status: 200,
-            reason: "OK".to_owned(),
-            headers,
-            body: Bytes::new(),
-        };
-        resp.head_bytes()
+        const MID: &[u8] = b" 200 OK\r\nContent-Length: ";
+        // "HTTP/1.x" + MID + at most 20 digits + CRLF CRLF.
+        let mut head = [0u8; 8 + MID.len() + 20 + 4];
+        let mut at = 0;
+        for part in [version.as_str().as_bytes(), MID] {
+            head[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        let mut digits = [0u8; 20];
+        let mut first = digits.len();
+        let mut n = len;
+        loop {
+            first -= 1;
+            digits[first] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        for part in [&digits[first..], b"\r\n\r\n"] {
+            head[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        Bytes::copy_from_slice(&head[..at])
     }
 
     /// Builds an error response with a short text body.
@@ -375,12 +396,18 @@ mod tests {
     #[test]
     fn ok_head_matches_full_response_head() {
         for version in [Version::Http10, Version::Http11] {
-            for len in [0usize, 1, 5, 1024, 3 * 1024 * 1024] {
+            for len in [0usize, 1, 5, 9, 10, 99, 100, 1024, 3 * 1024 * 1024] {
                 let body = Bytes::from(vec![0x5au8; len]);
                 let full = Response::ok(version, body).head_bytes();
                 assert_eq!(&Response::ok_head(version, len)[..], &full[..]);
             }
         }
+        // The widest length fills every digit of the head buffer.
+        let widest = format!("HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n", usize::MAX);
+        assert_eq!(
+            &Response::ok_head(Version::Http10, usize::MAX)[..],
+            widest.as_bytes()
+        );
     }
 
     #[test]

@@ -73,7 +73,10 @@ proptest! {
         }
         let mut p = RequestParser::new();
         p.feed(&wire);
-        let parsed = p.drain().unwrap();
+        let mut parsed = Vec::new();
+        while let Some(r) = p.next().unwrap() {
+            parsed.push(r);
+        }
         prop_assert_eq!(parsed.len(), reqs.len());
         for (a, b) in parsed.iter().zip(&reqs) {
             prop_assert_eq!(&a.uri, &b.uri);

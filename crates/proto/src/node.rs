@@ -531,10 +531,12 @@ impl NodeState {
         let size = self.store.size(target);
         let cached = {
             let mut cache = self.cache.lock();
-            if cache.touch(target) {
-                Some(cache.get(target).cloned())
-            } else {
-                None
+            // One lookup on a hit; only a miss (or a metadata-only
+            // entry) probes a second time to tell the two apart.
+            match cache.touch_value(target).cloned() {
+                Some(body) => Some(Some(body)),
+                None if cache.contains(target) => Some(None),
+                None => None,
             }
         };
         self.stats.served.fetch_add(1, Ordering::Relaxed);

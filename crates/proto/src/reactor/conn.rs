@@ -174,18 +174,22 @@ impl OutQueue {
         self.segs.push_back(seg);
     }
 
-    /// Fills `bufs` with iovec views of the unsent bytes, at most
-    /// `IOV_MAX` of them (the rest wait for the next call, exactly like
-    /// a kernel short write).
-    pub fn fill_slices<'a>(&'a self, bufs: &mut Vec<io::IoSlice<'a>>) {
-        for (i, seg) in self.segs.iter().take(IOV_MAX).enumerate() {
-            let s = if i == 0 {
+    /// Fills the front of `bufs` with iovec views of the unsent bytes,
+    /// at most `IOV_MAX` of them and at most `bufs.len()` (the rest wait
+    /// for the next call, exactly like a kernel short write). Returns
+    /// how many it filled.
+    pub fn fill_slices<'a>(&'a self, bufs: &mut [io::IoSlice<'a>]) -> usize {
+        let mut n = 0;
+        for (slot, seg) in bufs.iter_mut().zip(self.segs.iter().take(IOV_MAX)) {
+            let s = if n == 0 {
                 &seg[self.front_off..]
             } else {
                 &seg[..]
             };
-            bufs.push(io::IoSlice::new(s));
+            *slot = io::IoSlice::new(s);
+            n += 1;
         }
+        n
     }
 
     /// Consumes `n` accepted bytes, possibly landing mid-segment: the
@@ -236,6 +240,10 @@ impl VectoredWrite for mio::net::TcpStream {
     }
 }
 
+/// iovecs one `writev` gathers, on the stack; a longer queue drains
+/// over more calls, as after a short write.
+const STACK_IOVECS: usize = 64;
+
 /// Writes queued segments with gathered `writev` calls until the queue
 /// drains or the socket would block. Partial writes resume mid-iovec on
 /// the next call; `Err` means the connection is dead.
@@ -244,9 +252,9 @@ pub(crate) fn write_queue<W: VectoredWrite>(stream: &mut W, out: &mut OutQueue) 
         if out.is_empty() {
             return Ok(());
         }
-        let mut bufs: Vec<io::IoSlice<'_>> = Vec::new();
-        out.fill_slices(&mut bufs);
-        match stream.writev(&bufs) {
+        let mut bufs = [io::IoSlice::new(&[]); STACK_IOVECS];
+        let n = out.fill_slices(&mut bufs);
+        match stream.writev(&bufs[..n]) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
@@ -447,14 +455,15 @@ impl ClientConn {
     /// after its last pipelined request, and its FIN can arrive in the
     /// same readiness window as the request bytes; skipping them would
     /// drop responses the client is owed.
-    pub fn read_into_parser(&mut self) -> io::Result<bool> {
-        let mut buf = [0u8; 16 * 1024];
+    ///
+    /// `buf` is the shard's read buffer, reused across calls.
+    pub fn read_into_parser(&mut self, buf: &mut [u8]) -> io::Result<bool> {
         let mut any = false;
         loop {
             if self.eof || self.backpressured() {
                 return Ok(any);
             }
-            match self.stream.read(&mut buf) {
+            match self.stream.read(buf) {
                 Ok(0) => {
                     self.eof = true;
                     return Ok(any);
@@ -588,9 +597,8 @@ mod tests {
         out.push(Bytes::new());
         out.push(Bytes::from_static(b"x"));
         out.push(Bytes::new());
-        let mut bufs = Vec::new();
-        out.fill_slices(&mut bufs);
-        assert_eq!(bufs.len(), 1);
+        let mut bufs = [io::IoSlice::new(&[]); 3];
+        assert_eq!(out.fill_slices(&mut bufs), 1);
         assert_eq!(out.len(), 1);
     }
 
@@ -605,14 +613,14 @@ mod tests {
             expect.push(b);
             out.push(Bytes::from(vec![b]));
         }
-        let mut bufs = Vec::new();
-        out.fill_slices(&mut bufs);
-        assert_eq!(bufs.len(), IOV_MAX, "one call offers at most IOV_MAX");
+        let mut bufs = vec![io::IoSlice::new(&[]); n];
+        let offered = out.fill_slices(&mut bufs);
+        assert_eq!(offered, IOV_MAX, "one call offers at most IOV_MAX");
         let mut stream = ScriptedStream::new(Vec::new());
         write_queue(&mut stream, &mut out).unwrap();
         assert!(out.is_empty());
         assert_eq!(stream.sink, expect);
-        assert_eq!(stream.max_bufs_seen, IOV_MAX);
+        assert_eq!(stream.max_bufs_seen, STACK_IOVECS);
         assert_eq!(g.load(Ordering::Relaxed), 0);
     }
 

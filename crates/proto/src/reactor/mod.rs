@@ -449,6 +449,9 @@ pub(crate) fn spawn(
             read_timeout: cfg.read_timeout,
             peer_pool_cap: cfg.peer_pool_cap,
             last_sweep: Instant::now(),
+            reqs: Vec::new(),
+            known: Vec::new(),
+            read_buf: vec![0; READ_BUF].into_boxed_slice(),
         };
         // The control sessions are ordinary readiness sources on the
         // same poller, in their own token range.
@@ -545,14 +548,34 @@ struct Reactor {
     read_timeout: Duration,
     peer_pool_cap: usize,
     last_sweep: Instant,
+    /// Scratch: the requests of the batch being processed, parsed in
+    /// place out of the connection's buffer.
+    reqs: Vec<Req>,
+    /// Scratch: the batch's known targets, for `assign_batch`.
+    known: Vec<TargetId>,
+    /// Scratch: every socket read of the shard lands here first
+    /// (allocated and zeroed once, not per read).
+    read_buf: Box<[u8]>,
 }
 
-/// A complete `200 OK` staged for write-out: the serialized head plus
-/// the *shared* body slice — the body is never copied into a contiguous
-/// wire buffer; `writev` gathers the pair at send time.
-fn ok_state(version: Version, body: Bytes) -> EntryState {
-    let resp = Response::ok(version, body);
-    EntryState::Ready(resp.head_bytes(), resp.body)
+/// Size of a shard's read buffer.
+const READ_BUF: usize = 16 * 1024;
+
+/// What the reactor keeps of a parsed request: its target (`None` for a
+/// URI outside the store — a 404), version and keep-alive verdict.
+#[derive(Debug, Clone, Copy)]
+struct Req {
+    target: Option<TargetId>,
+    version: Version,
+    keep_alive: bool,
+}
+
+/// A complete `200 OK` of `target` staged for write-out: the store's
+/// shared head plus the *shared* body slice — neither is serialized or
+/// copied per response; `writev` gathers the pair at send time.
+fn ok_state(store: &ContentStore, target: TargetId, version: Version, body: Bytes) -> EntryState {
+    debug_assert_eq!(body.len() as u64, store.size(target), "head/body length");
+    EntryState::Ready(store.ok_head(target, version), body)
 }
 
 /// A `404 Not Found` staging pair.
@@ -790,6 +813,7 @@ impl Reactor {
             fes,
             poll,
             stop,
+            read_buf,
             ..
         } = self;
         let Some(chan) = controls.get_mut(idx) else {
@@ -809,9 +833,8 @@ impl Reactor {
                 }
             }
         };
-        let mut buf = [0u8; 16 * 1024];
         loop {
-            match chan.stream.read(&mut buf) {
+            match chan.stream.read(read_buf) {
                 Ok(0) => {
                     // Node side closed while the cluster is live: the
                     // node is gone (clean shutdown never reaches here —
@@ -820,7 +843,7 @@ impl Reactor {
                     return;
                 }
                 Ok(n) => {
-                    chan.decoder.feed(&buf[..n]);
+                    chan.decoder.feed(&read_buf[..n]);
                     loop {
                         match chan.decoder.next() {
                             Ok(Some(msg)) => {
@@ -883,7 +906,7 @@ impl Reactor {
     fn drive_client(&mut self, idx: usize, c: &mut ClientConn) -> bool {
         c.last_activity = Instant::now();
         loop {
-            match c.read_into_parser() {
+            match c.read_into_parser(&mut self.read_buf) {
                 Ok(true) => {
                     if self.process_available(idx, c).is_err() {
                         // Parse error: stop reading, serve what is already
@@ -902,39 +925,55 @@ impl Reactor {
     }
 
     /// Drains complete requests from the parser and turns them into
-    /// pipeline entries.
+    /// pipeline entries. Requests are parsed in place: the batch keeps
+    /// only each request's target, version and keep-alive verdict.
     fn process_available(
         &mut self,
         idx: usize,
         c: &mut ClientConn,
     ) -> Result<(), phttp_http::ParseError> {
-        loop {
-            if c.close_after_drain {
-                // Once a non-keep-alive request (or EOF) ends the
-                // logical connection, later pipelined requests are not
-                // served.
-                return Ok(());
+        if c.close_after_drain {
+            // Once a non-keep-alive request (or EOF) ends the logical
+            // connection, later pipelined requests are not served.
+            return Ok(());
+        }
+        let mut reqs = std::mem::take(&mut self.reqs);
+        reqs.clear();
+        let store = &self.store;
+        let parsed = loop {
+            let next = c.parser.next_with(|r| Req {
+                target: store.lookup(r.uri),
+                version: r.version,
+                keep_alive: r.keep_alive,
+            });
+            match next {
+                Ok(Some(req)) => reqs.push(req),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
             }
-            let batch = c.parser.drain()?;
-            if batch.is_empty() {
-                return Ok(());
-            }
+        };
+        // A parse error discards the whole batch: nothing read with the
+        // malformed request is served.
+        if parsed.is_ok() && !reqs.is_empty() {
             if c.peer_server {
-                self.process_peer_batch(idx, c, batch);
+                self.process_peer_batch(idx, c, &reqs);
             } else {
-                self.process_batch(idx, c, batch);
+                self.process_batch(idx, c, &reqs);
             }
         }
+        self.reqs = reqs;
+        parsed
     }
 
     /// The connection handler's loop body, inline on the event loop: the
     /// first request drives the content-based handoff, every subsequent
     /// drained batch is decided in one `assign_batch` call.
-    fn process_batch(&mut self, idx: usize, c: &mut ClientConn, mut batch: Vec<Request>) {
+    fn process_batch(&mut self, idx: usize, c: &mut ClientConn, mut batch: &[Req]) {
         let me = self.slot_ref(idx);
         if c.conn_id.is_none() {
-            let first = batch.remove(0);
-            let Some(target) = self.store.lookup(&first.uri) else {
+            let first = batch[0];
+            batch = &batch[1..];
+            let Some(target) = first.target else {
                 let seq = c.alloc_seq();
                 c.push_entry(seq, not_found_state(first.version));
                 c.close_after_drain = true;
@@ -949,7 +988,7 @@ impl Reactor {
             let seq = c.alloc_seq();
             let state = self.serve_on(me, seq, c.node, target, first.version);
             c.push_entry(seq, state);
-            if !first.keep_alive() {
+            if !first.keep_alive {
                 c.close_after_drain = true;
                 return;
             }
@@ -963,14 +1002,15 @@ impl Reactor {
         // connection-shard visit and grouped mapping-shard locks instead
         // of per-request lock traffic. Unknown URIs get their 404 in
         // sequence but take no part in the policy batch.
-        let targets: Vec<Option<TargetId>> =
-            batch.iter().map(|r| self.store.lookup(&r.uri)).collect();
-        let known: Vec<TargetId> = targets.iter().filter_map(|&t| t).collect();
+        let mut known = std::mem::take(&mut self.known);
+        known.clear();
+        known.extend(batch.iter().filter_map(|r| r.target));
         let assignments = self.fes[c.fe_idx].assign_batch(conn, &known);
+        self.known = known;
         let mut next_assignment = assignments.into_iter();
 
-        for (req, target) in batch.iter().zip(&targets) {
-            let Some(target) = *target else {
+        for req in batch {
+            let Some(target) = req.target else {
                 let seq = c.alloc_seq();
                 c.push_entry(seq, not_found_state(req.version));
                 continue;
@@ -1009,7 +1049,7 @@ impl Reactor {
                 ),
             };
             c.push_entry(seq, state);
-            if !req.keep_alive() {
+            if !req.keep_alive {
                 c.close_after_drain = true;
                 break;
             }
@@ -1020,11 +1060,11 @@ impl Reactor {
     /// serves on the listener's node — no handoff, no dispatcher, same
     /// strict response ordering, with per-request `lateral_in`
     /// accounting.
-    fn process_peer_batch(&mut self, idx: usize, c: &mut ClientConn, batch: Vec<Request>) {
+    fn process_peer_batch(&mut self, idx: usize, c: &mut ClientConn, batch: &[Req]) {
         let me = self.slot_ref(idx);
         let node_idx = c.node;
         for req in batch {
-            let Some(target) = self.store.lookup(&req.uri) else {
+            let Some(target) = req.target else {
                 let seq = c.alloc_seq();
                 c.push_entry(seq, not_found_state(req.version));
                 continue;
@@ -1080,7 +1120,7 @@ impl Reactor {
         // copy); the store fallback inside `begin_serve_body` covers
         // the raced-eviction window.
         if let Some(body) = self.fe.nodes()[node_idx].begin_serve_body(target) {
-            ok_state(version, body)
+            ok_state(&self.store, target, version, body)
         } else {
             self.disk_enqueue(
                 node_idx,
@@ -1231,12 +1271,14 @@ impl Reactor {
         // to the cache — one allocation for the entire flight.
         let body =
             self.fe.nodes()[node_idx].finish_disk_read_shared(job.target, job.waiters.len() as u64);
-        self.deliver(job.conn, job.seq, ok_state(job.version, body.clone()));
+        let leader = ok_state(&self.store, job.target, job.version, body.clone());
+        self.deliver(job.conn, job.seq, leader);
         // Waiters whose connection died meanwhile are dropped by
         // `deliver`'s generation check — the flight completes for the
         // survivors either way.
         for w in job.waiters {
-            self.deliver(w.conn, w.seq, ok_state(w.version, body.clone()));
+            let state = ok_state(&self.store, job.target, w.version, body.clone());
+            self.deliver(w.conn, w.seq, state);
         }
         if let Some(next) = self.disks[node_idx].queue.pop_front() {
             self.disk_start(node_idx, next);
@@ -1417,16 +1459,15 @@ impl Reactor {
         if self.flush_peer(idx, p).is_err() {
             return false;
         }
-        let mut buf = [0u8; 16 * 1024];
         loop {
             match self.pump_peer(idx, p) {
                 Pump::Dead => return false,
                 Pump::Paused => return self.pause_peer(idx, p),
                 Pump::More => {}
             }
-            match p.stream.read(&mut buf) {
+            match p.stream.read(&mut self.read_buf) {
                 Ok(0) => return false, // peer closed (idle timeout or death)
-                Ok(n) => p.parser.feed(&buf[..n]),
+                Ok(n) => p.parser.feed(&self.read_buf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
@@ -1562,7 +1603,13 @@ impl Reactor {
     /// serialized response head — on the wire before the body exists on
     /// this node.
     fn begin_splice(&mut self, session: SlotRef, job: LateralJob, body_len: usize) {
-        let head = Response::ok_head(job.version, body_len);
+        // The store's head whenever the peer's length is the store's;
+        // any other length is serialized as announced.
+        let head = if body_len as u64 == self.store.size(job.target) {
+            self.store.ok_head(job.target, job.version)
+        } else {
+            Response::ok_head(job.version, body_len)
+        };
         self.deliver(
             job.conn,
             job.seq,
@@ -1652,7 +1699,8 @@ impl Reactor {
         }
         let body = self.store.body(job.target);
         for w in waiters {
-            self.deliver(w.conn, w.seq, ok_state(w.version, body.clone()));
+            let state = ok_state(&self.store, job.target, w.version, body.clone());
+            self.deliver(w.conn, w.seq, state);
         }
     }
 

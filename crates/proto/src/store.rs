@@ -7,27 +7,53 @@
 //! the paper's `/be_<k>/...` *tagging* prefix composes on top of it.
 
 use bytes::Bytes;
+use phttp_http::{Response, Version};
 use phttp_trace::{TargetId, Trace};
 
 /// An immutable corpus of generated documents.
 #[derive(Debug, Clone)]
 pub struct ContentStore {
     sizes: Vec<u64>,
+    /// Every target's serialized `200 OK` head, per version
+    /// (`[HTTP/1.0, HTTP/1.1]`): a head is a pure function of (version,
+    /// length), so it is built once here and each response shares it.
+    heads: [Vec<Bytes>; 2],
 }
 
 impl ContentStore {
     /// Builds a store over the trace's corpus (same target ids and sizes).
     pub fn from_trace(trace: &Trace) -> Self {
-        ContentStore {
-            sizes: (0..trace.num_targets() as u32)
+        Self::from_sizes(
+            (0..trace.num_targets() as u32)
                 .map(|i| trace.size_of(TargetId(i)))
                 .collect(),
-        }
+        )
     }
 
     /// Builds a store from explicit sizes (tests).
     pub fn from_sizes(sizes: Vec<u64>) -> Self {
-        ContentStore { sizes }
+        let heads = [Version::Http10, Version::Http11].map(|v| {
+            sizes
+                .iter()
+                .map(|&n| Response::ok_head(v, n as usize))
+                .collect()
+        });
+        ContentStore { sizes, heads }
+    }
+
+    /// The serialized head of the target's `200 OK` — byte-identical to
+    /// `Response::ok_head(version, size)` — as a shared handle to the
+    /// store's copy (a refcount bump, no serialization).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target is out of range.
+    pub(crate) fn ok_head(&self, target: TargetId, version: Version) -> Bytes {
+        let v = match version {
+            Version::Http10 => 0,
+            Version::Http11 => 1,
+        };
+        self.heads[v][target.0 as usize].clone()
     }
 
     /// Number of targets.
@@ -136,6 +162,20 @@ mod tests {
         let n = b3.len();
         b3[n - 1] ^= 0xff;
         assert!(!s.verify(t, &b3));
+    }
+
+    #[test]
+    fn head_table_matches_serialized_responses() {
+        let sizes = [0u64, 1, 9, 10, 65535, 1 << 20];
+        let s = ContentStore::from_sizes(sizes.to_vec());
+        for version in [Version::Http10, Version::Http11] {
+            for (i, &len) in sizes.iter().enumerate() {
+                let t = TargetId(i as u32);
+                let full = Response::ok(version, s.body(t)).head_bytes();
+                assert_eq!(&s.ok_head(t, version)[..], &full[..], "{version:?} {len}");
+                assert_eq!(&Response::ok_head(version, len as usize)[..], &full[..]);
+            }
+        }
     }
 
     #[test]

@@ -26,12 +26,16 @@ impl Bytes {
     /// Wraps a static byte slice (copies once; upstream is zero-copy, but
     /// no caller here is on a hot path with static data).
     pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes::copy_from_slice(data)
     }
 
-    /// Copies a slice into a new buffer.
+    /// Copies a slice into a new buffer (one allocation).
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            data: Arc::from(data),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     /// Length in bytes.
@@ -123,7 +127,7 @@ impl From<String> for Bytes {
 
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 }
 
@@ -253,9 +257,12 @@ impl BytesMut {
         self.off = 0;
     }
 
-    /// Reclaims the consumed prefix once it dominates the allocation.
+    /// Reclaims the consumed prefix once it dominates the allocation,
+    /// and rewinds to the start for free once everything is consumed.
     fn compact_if_sparse(&mut self) {
-        if self.off > 4096 && self.off * 2 >= self.buf.len() {
+        if self.off == self.buf.len() {
+            self.clear();
+        } else if self.off > 4096 && self.off * 2 >= self.buf.len() {
             self.buf.drain(..self.off);
             self.off = 0;
         }

@@ -35,6 +35,11 @@
 //!   raw `writev(2)` binding (upstream defers to std's `Write`
 //!   implementation): scatter-gather output for the zero-copy response
 //!   path, clamped to [`net::IOV_MAX`] entries per call.
+//! * **Timeouts have nanosecond resolution.** [`Poll::poll`] waits with
+//!   `epoll_pwait2(2)` (Linux ≥ 5.11, called as a raw syscall so the
+//!   glibc version does not matter); a kernel without it gets
+//!   `epoll_wait(2)` with the timeout rounded *up* to whole
+//!   milliseconds, so a poll never returns before its timeout.
 
 #![deny(missing_docs)]
 
@@ -44,7 +49,7 @@ use std::time::Duration;
 
 mod sys {
     //! Raw Linux syscall bindings (via the always-linked system libc).
-    use std::os::raw::{c_int, c_uint, c_void};
+    use std::os::raw::{c_int, c_long, c_uint, c_void};
 
     /// Kernel `struct epoll_event`. The UAPI declares it packed on
     /// x86_64 only; everywhere else it has natural alignment.
@@ -80,6 +85,19 @@ mod sys {
     pub const SO_REUSEPORT: c_int = 15;
     pub const EINPROGRESS: i32 = 115;
     pub const EINTR: i32 = 4;
+    pub const EPERM: i32 = 1;
+    pub const ENOSYS: i32 = 38;
+
+    /// `epoll_pwait2(2)`'s number, shared by every architecture that
+    /// uses the generic syscall table for new calls (x86_64, aarch64).
+    pub const SYS_EPOLL_PWAIT2: c_long = 441;
+
+    /// Kernel `struct __kernel_timespec`: 64-bit fields everywhere.
+    #[repr(C)]
+    pub struct KernelTimespec {
+        pub tv_sec: i64,
+        pub tv_nsec: i64,
+    }
 
     /// Kernel `struct sockaddr_in` (IPv4 only — the reuseport group bind
     /// below is loopback-IPv4 by construction).
@@ -129,6 +147,7 @@ mod sys {
         pub fn listen(fd: c_int, backlog: c_int) -> c_int;
         pub fn connect(fd: c_int, addr: *const SockaddrIn, addrlen: u32) -> c_int;
         pub fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
+        pub fn syscall(num: c_long, ...) -> c_long;
     }
 }
 
@@ -329,6 +348,9 @@ impl Registry {
 pub struct Poll {
     ep: OwnedFd,
     registry: Registry,
+    /// `false` once `epoll_pwait2` has failed as unsupported; every
+    /// later poll goes straight to the `epoll_wait` fallback.
+    pwait2: bool,
 }
 
 impl Poll {
@@ -345,6 +367,7 @@ impl Poll {
         Ok(Poll {
             registry: Registry { epfd: fd },
             ep,
+            pwait2: true,
         })
     }
 
@@ -354,30 +377,38 @@ impl Poll {
     }
 
     /// Blocks until at least one registered source is ready or `timeout`
-    /// elapses (`None` blocks indefinitely). Sub-millisecond timeouts are
-    /// rounded up to 1 ms so they cannot spin.
+    /// elapses (`None` blocks indefinitely). The timeout has nanosecond
+    /// resolution (`epoll_pwait2`); where the kernel lacks that call it
+    /// is rounded up to whole milliseconds (`epoll_wait`), so the poll
+    /// is late by under a millisecond, never early.
     pub fn poll(&mut self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-        let ms: i32 = match timeout {
-            None => -1,
-            Some(d) => {
-                if d.is_zero() {
-                    0
-                } else {
-                    d.as_millis().clamp(1, i32::MAX as u128) as i32
-                }
-            }
-        };
         loop {
-            // SAFETY: `buf` is a live, exclusively borrowed allocation
-            // of `buf.len()` EpollEvent slots; the kernel writes at most
-            // that many entries and `rc` reports how many are valid.
-            let rc = unsafe {
-                sys::epoll_wait(
-                    self.ep.as_raw_fd(),
-                    events.buf.as_mut_ptr(),
-                    events.buf.len() as i32,
-                    ms,
-                )
+            let rc = if !self.pwait2 {
+                // SAFETY: `buf` is a live, exclusively borrowed allocation
+                // of `buf.len()` EpollEvent slots; the kernel writes at most
+                // that many entries and `rc` reports how many are valid.
+                unsafe {
+                    sys::epoll_wait(
+                        self.ep.as_raw_fd(),
+                        events.buf.as_mut_ptr(),
+                        events.buf.len() as i32,
+                        timeout_ms(timeout),
+                    )
+                }
+            } else {
+                let rc = self.epoll_pwait2(events, timeout);
+                if rc < 0
+                    && matches!(
+                        io::Error::last_os_error().raw_os_error(),
+                        Some(sys::ENOSYS | sys::EPERM)
+                    )
+                {
+                    // Unknown to this kernel (or refused by a seccomp
+                    // filter): fall back for the life of this poll.
+                    self.pwait2 = false;
+                    continue;
+                }
+                rc
             };
             if rc >= 0 {
                 events.len = rc as usize;
@@ -389,6 +420,45 @@ impl Poll {
             }
             events.len = 0;
         }
+    }
+
+    /// One `epoll_pwait2` call; returns its raw result (errno is set
+    /// when it is negative).
+    fn epoll_pwait2(&mut self, events: &mut Events, timeout: Option<Duration>) -> i32 {
+        use std::os::raw::c_long;
+        let ts = timeout.map(|d| sys::KernelTimespec {
+            tv_sec: d.as_secs().min(i64::MAX as u64) as i64,
+            tv_nsec: i64::from(d.subsec_nanos()),
+        });
+        let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const _);
+        // SAFETY: `events.buf` is a live, exclusively borrowed
+        // allocation of `buf.len()` EpollEvent slots; the kernel writes
+        // at most that many entries and the result reports how many are
+        // valid. `ts_ptr` is null or points at `ts`, alive for the call;
+        // the sigmask is null (no mask change), so its size is unread.
+        // Every argument is passed as a full `c_long` register value.
+        let rc = unsafe {
+            sys::syscall(
+                sys::SYS_EPOLL_PWAIT2,
+                self.ep.as_raw_fd() as c_long,
+                events.buf.as_mut_ptr() as c_long,
+                events.buf.len() as c_long,
+                ts_ptr as c_long,
+                0 as c_long,
+                0 as c_long,
+            )
+        };
+        rc as i32
+    }
+}
+
+/// The `epoll_wait` timeout for `timeout`: `-1` blocks, and any other
+/// duration is rounded *up* to whole milliseconds (clamped to
+/// `i32::MAX`), so the fallback never wakes before a timer is due.
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        None => -1,
+        Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
     }
 }
 
@@ -763,6 +833,51 @@ mod tests {
             .unwrap();
         assert!(events.is_empty());
         assert!(start.elapsed() >= Duration::from_millis(15));
+    }
+
+    #[test]
+    fn timed_polls_are_never_early_on_either_path() {
+        for pwait2 in [true, false] {
+            let mut poll = Poll::new().unwrap();
+            poll.pwait2 = pwait2;
+            let mut events = Events::with_capacity(8);
+            for d in [Duration::from_micros(300), Duration::from_micros(2_160)] {
+                let start = Instant::now();
+                poll.poll(&mut events, Some(d)).unwrap();
+                assert!(events.is_empty());
+                let waited = start.elapsed();
+                assert!(
+                    waited >= d,
+                    "pwait2={pwait2}: {d:?} returned after {waited:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fallback_timeout_is_never_early() {
+        assert_eq!(timeout_ms(None), -1);
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 0);
+        for ns in [
+            1u64,
+            300_000,
+            999_999,
+            1_000_000,
+            1_000_001,
+            2_160_000,
+            200_000_000,
+            u64::MAX,
+        ] {
+            let d = Duration::from_nanos(ns);
+            let ms = timeout_ms(Some(d));
+            assert!(ms > 0, "{d:?} must not become a zero-wait spin");
+            let waited = Duration::from_millis(ms as u64);
+            if ms < i32::MAX {
+                assert!(waited >= d, "{d:?} rounded down to {ms} ms");
+                assert!(waited - d < Duration::from_millis(1), "{d:?} over-rounded");
+            }
+        }
+        assert_eq!(timeout_ms(Some(Duration::from_micros(2_160))), 3);
     }
 
     #[test]
